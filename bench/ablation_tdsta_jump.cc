@@ -47,8 +47,8 @@ int Main() {
     double full_ms =
         bench::BestOfMs([&] { full = TopDownRun(minimal, doc); });
     JumpRunResult jump;
-    double jump_ms =
-        bench::BestOfMs([&] { jump = TopDownJumpRun(minimal, doc, index); });
+    double jump_ms = bench::BestOfMs(
+        [&] { jump = TopDownJumpRun(minimal, engine.tree(), index); });
     if (jump.selected != full.selected) {
       std::printf("MISMATCH on %s\n", q);
       return 1;

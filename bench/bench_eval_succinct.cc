@@ -1,9 +1,8 @@
 // Succinct-engine evaluation benchmark: the paper's speed/space point,
 // measured instead of asserted. Runs the Figure-2 workload on an XMark
-// document over the succinct backend with jumping off vs. on (both through
-// the memoized ASTA evaluator), and the jumping+memoized (opt) evaluator on
-// the succinct vs. the pointer backend. All three configurations must select
-// identical node sets; a mismatch fails the run.
+// document over the succinct index with jumping off vs. on (both through
+// the memoized ASTA evaluator). Both runs must select exactly the node set
+// of the node-set baseline; a mismatch fails the run.
 //
 // Usage: bench_eval_succinct [--quick] [--out PATH]
 //   --quick  small document + fewer repeats (CI smoke run)
@@ -65,7 +64,7 @@ struct PredicateSeriesRow {
   int64_t filter_checked = 0;
   int64_t filter_rejected = 0;
   size_t selected = 0;
-  bool match = true;  // agrees with the pointer baseline's native answer
+  bool match = true;  // agrees with the baseline's native answer
 };
 
 struct QueryResultRow {
@@ -73,15 +72,11 @@ struct QueryResultRow {
   const char* xpath;
   double succinct_nojump_ms = 0;
   double succinct_jump_ms = 0;
-  double pointer_jump_ms = 0;
   size_t selected = 0;
-  bool match = true;
+  bool match = true;  // jump and no-jump runs both equal the baseline
 
   double jump_speedup() const {
     return succinct_nojump_ms / succinct_jump_ms;
-  }
-  double succinct_vs_pointer() const {
-    return succinct_jump_ms / pointer_jump_ms;
   }
 };
 
@@ -93,7 +88,6 @@ int Run(bool quick, const std::string& out_path) {
   std::printf("document: %s nodes\n",
               WithCommas(static_cast<uint64_t>(doc.num_nodes())).c_str());
 
-  TreeIndex pointer_index(doc);
   SuccinctTree tree(doc);
   TreeIndex succinct_index(tree);
   const int repeats = quick ? 3 : 5;
@@ -126,27 +120,23 @@ int Run(bool quick, const std::string& out_path) {
     row.id = wq.id;
     row.xpath = wq.xpath;
 
-    AstaEvalResult nojump, jump, pointer;
+    AstaEvalResult nojump, jump;
     row.succinct_nojump_ms = bench::BestOfMs(
-        [&] { nojump = EvalAstaSuccinct(*asta, tree, nullptr, kNoJump); },
-        repeats);
+        [&] { nojump = EvalAsta(*asta, tree, nullptr, kNoJump); }, repeats);
     row.succinct_jump_ms = bench::BestOfMs(
-        [&] { jump = EvalAstaSuccinct(*asta, tree, &succinct_index, kJump); },
+        [&] { jump = EvalAsta(*asta, tree, &succinct_index, kJump); },
         repeats);
-    row.pointer_jump_ms = bench::BestOfMs(
-        [&] { pointer = EvalAsta(*asta, doc, &pointer_index, kJump); },
-        repeats);
+    auto expect = EvalNodeSetBaseline(*path, doc);
     row.selected = jump.nodes.size();
-    row.match = jump.nodes == nojump.nodes && jump.nodes == pointer.nodes;
+    row.match =
+        expect.ok() && jump.nodes == *expect && nojump.nodes == *expect;
     all_match = all_match && row.match;
     rows.push_back(row);
 
     std::printf(
-        "%-4s nojump %8.3f ms  jump %8.3f ms (%5.2fx)  pointer-opt %8.3f ms"
-        "  [%zu nodes]%s\n",
+        "%-4s nojump %8.3f ms  jump %8.3f ms (%5.2fx)  [%zu nodes]%s\n",
         row.id, row.succinct_nojump_ms, row.succinct_jump_ms,
-        row.jump_speedup(), row.pointer_jump_ms, row.selected,
-        row.match ? "" : "  MISMATCH");
+        row.jump_speedup(), row.selected, row.match ? "" : "  MISMATCH");
   }
 
   // ------------------------------------------------------------ LIMIT-k
@@ -163,7 +153,7 @@ int Run(bool quick, const std::string& out_path) {
   };
   const size_t kLimits[3] = {1, 10, 1000};
   std::vector<LimitSeriesRow> limit_rows;
-  std::printf("\nLIMIT-k via ResultCursor (succinct backend, optimized):\n");
+  std::printf("\nLIMIT-k via ResultCursor (optimized):\n");
   for (const auto& lq : kLimitQueries) {
     auto prepared = PreparedQuery::Prepare(lq.xpath, doc.alphabet_ptr());
     if (!prepared.ok()) continue;
@@ -174,14 +164,13 @@ int Run(bool quick, const std::string& out_path) {
     AstaEvalResult full;
     row.full_ms = bench::BestOfMs(
         [&] {
-          full = EvalAstaSuccinct(prepared->asta(), tree, &succinct_index,
-                                  kJump);
+          full = EvalAsta(prepared->asta(), tree, &succinct_index, kJump);
         },
         repeats);
     row.full_visited = full.stats.nodes_visited;
     row.selected = full.nodes.size();
 
-    const internal::CursorContext ctx{nullptr, &tree, &succinct_index};
+    const internal::CursorContext ctx{&tree, &succinct_index};
     const QueryOptions opts;  // optimized
     for (size_t i = 0; i < 3; ++i) {
       const size_t k = kLimits[i];
@@ -246,7 +235,7 @@ int Run(bool quick, const std::string& out_path) {
     row.id = pq.id;
     row.xpath = pq.xpath;
 
-    internal::CursorContext ctx{nullptr, &tree, &succinct_index, &text};
+    internal::CursorContext ctx{&tree, &succinct_index, &text};
     const QueryOptions opts;  // optimized
     std::vector<NodeId> got;
     row.full_ms = bench::BestOfMs(
@@ -285,18 +274,11 @@ int Run(bool quick, const std::string& out_path) {
         row.match ? "" : "  MISMATCH");
   }
 
-  double log_jump = 0, log_sp = 0;
-  for (const QueryResultRow& r : rows) {
-    log_jump += std::log(r.jump_speedup());
-    log_sp += std::log(r.succinct_vs_pointer());
-  }
-  const double n = static_cast<double>(rows.size());
-  const double geo_jump = std::exp(log_jump / n);
-  const double geo_sp = std::exp(log_sp / n);
-  std::printf(
-      "\ngeomean: jumping speeds up the succinct backend %.2fx; "
-      "succinct opt eval costs %.2fx the pointer opt eval\n",
-      geo_jump, geo_sp);
+  double log_jump = 0;
+  for (const QueryResultRow& r : rows) log_jump += std::log(r.jump_speedup());
+  const double geo_jump = std::exp(log_jump / static_cast<double>(rows.size()));
+  std::printf("\ngeomean: jumping speeds up the evaluation %.2fx\n",
+              geo_jump);
   std::printf("results: %s\n", all_match ? "all configurations agree"
                                          : "MISMATCH");
 
@@ -310,7 +292,6 @@ int Run(bool quick, const std::string& out_path) {
                "  \"scale\": %.6g,\n  \"nodes\": %d,\n"
                "  \"all_match\": %s,\n"
                "  \"geomean_jump_speedup\": %.3f,\n"
-               "  \"geomean_succinct_vs_pointer\": %.3f,\n"
                "  \"label_index_bytes\": %zu,\n"
                "  \"label_index_vector_bytes\": %zu,\n"
                "  \"label_index_compression\": %.3f,\n"
@@ -319,7 +300,7 @@ int Run(bool quick, const std::string& out_path) {
                "  \"text_store_bytes\": %zu,\n"
                "  \"results\": [\n",
                quick ? "true" : "false", opt.scale, doc.num_nodes(),
-               all_match ? "true" : "false", geo_jump, geo_sp,
+               all_match ? "true" : "false", geo_jump,
                postings.bytes, postings.vector_bytes,
                postings.bytes > 0
                    ? static_cast<double>(postings.vector_bytes) /
@@ -331,11 +312,10 @@ int Run(bool quick, const std::string& out_path) {
     const QueryResultRow& r = rows[i];
     std::fprintf(out,
                  "    {\"query\": \"%s\", \"succinct_nojump_ms\": %.4f, "
-                 "\"succinct_jump_ms\": %.4f, \"pointer_jump_ms\": %.4f, "
-                 "\"jump_speedup\": %.3f, \"selected\": %zu, "
-                 "\"match\": %s}%s\n",
+                 "\"succinct_jump_ms\": %.4f, \"jump_speedup\": %.3f, "
+                 "\"selected\": %zu, \"match\": %s}%s\n",
                  r.id, r.succinct_nojump_ms, r.succinct_jump_ms,
-                 r.pointer_jump_ms, r.jump_speedup(), r.selected,
+                 r.jump_speedup(), r.selected,
                  r.match ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }

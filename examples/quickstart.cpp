@@ -47,8 +47,10 @@ int main(int argc, char** argv) {
       </shelf>
     </library>)";
 
-  // One collection, one alphabet, many documents — each on the backend of
-  // its choice (the archive stays succinct: ~2 bits/node topology). With
+  // One collection, one alphabet, many documents, each indexed the same
+  // way (~2 bits/node topology plus label postings and values). The
+  // archive streams straight into its index; "current" also keeps its
+  // parsed Document, which only the node-set baseline strategy reads. With
   // --index the whole library reopens from saved images instead: each
   // document mmaps on its first query.
   xpwqo::Collection library;
@@ -123,8 +125,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Value predicates compare text and attribute content. Pointer engines
-  // read the Document; succinct and image-reopened engines read the
+  // Value predicates compare text and attribute content, read from the
   // TextStore that version-2 index images persist — so these queries give
   // the same answers before --save-index and after --index.
   auto dated = library.Prepare(

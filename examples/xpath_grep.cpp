@@ -172,8 +172,8 @@ int main(int argc, char** argv) {
         std::printf("%s\n", engine->PathTo(n).c_str());
         break;
       case kXml: {
-        // Serialized from the Document on the pointer backend, or from the
-        // succinct tree + TextStore on (v2) image engines.
+        // Serialized from the succinct tree + TextStore; a v1 image stores
+        // no text, so it fails here.
         auto xml = engine->SerializeSubtree(n);
         if (!xml.ok()) {
           std::fprintf(stderr, "error: %s\n",

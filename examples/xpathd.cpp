@@ -154,6 +154,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "xpathd: %s\n", started.ToString().c_str());
     return 1;
   }
+  // Install the drain handlers before announcing the port: a supervisor
+  // that stops the server as soon as it sees the port must get a drain.
+  g_server.store(&server);
+  std::signal(SIGTERM, HandleSignal);
+  std::signal(SIGINT, HandleSignal);
   std::fprintf(stderr, "xpathd: listening on 127.0.0.1:%u\n",
                static_cast<unsigned>(server.port()));
   if (!port_file.empty()) {
@@ -162,10 +167,6 @@ int main(int argc, char** argv) {
       std::fclose(f);
     }
   }
-
-  g_server.store(&server);
-  std::signal(SIGTERM, HandleSignal);
-  std::signal(SIGINT, HandleSignal);
 
   // Serve until a signal asks for the drain; bound the runtime's own
   // drain by whatever is left of the shutdown budget.

@@ -125,6 +125,22 @@ kill -TERM "$XPATHD_PID"
 wait "$XPATHD_PID"   # non-zero (hard drain) fails the script via set -e
 grep -q "drained clean" build/xpathd.log
 
+# Start-up race: a supervisor may stop xpathd the moment its port file
+# appears, so xpathd installs its drain handlers before it announces the
+# port. A SIGTERM sent at once must still drain clean (exit 0).
+rm -f build/xpathd_early.port
+./build/xpathd --index build/check_smoke_text_idx \
+  --port-file build/xpathd_early.port > build/xpathd_early.log 2>&1 &
+XPATHD_PID=$!
+for _ in $(seq 1 1000); do
+  [ -s build/xpathd_early.port ] && break
+  sleep 0.01
+done
+[ -s build/xpathd_early.port ] || { echo "check.sh: xpathd never bound" >&2; exit 1; }
+kill -TERM "$XPATHD_PID"
+wait "$XPATHD_PID"
+grep -q "drained clean" build/xpathd_early.log
+
 # Sanitizer pass over the ingestion pipeline, the compressed postings, and
 # the serving API: the streaming parser and the builders juggle a rolling
 # buffer plus string_views into it, the posting decoders walk raw byte
@@ -198,7 +214,7 @@ assert ev["label_index_compression"] > 1.0, \
 assert ev["text_store_bytes"] > 0, "empty text store reported"
 
 # The value-predicate series: every query's relaxed-plan + post-filter
-# answer must match the pointer baseline's native evaluation, and the
+# answer must match the baseline's native evaluation, and the
 # filter accounting must balance — every candidate the relaxed plan
 # produced was either kept (and so selected) or rejected.
 assert ev.get("predicate_series"), "BENCH_eval_succinct missing predicate_series"

@@ -57,10 +57,9 @@ MemoKey EvalKey(SetId s, LabelId label, SetId d1, SetId d2) {
   return k;
 }
 
-template <typename TreeView>
 class AstaEvaluator {
  public:
-  AstaEvaluator(const Asta& asta, const TreeView& tree,
+  AstaEvaluator(const Asta& asta, const SuccinctTree& tree,
                 const TreeIndex* index, const AstaEvalOptions& options)
       : asta_(asta),
         tree_(tree),
@@ -336,9 +335,9 @@ class AstaEvaluator {
         ++stats_.jumps;
         switch (jump.kind) {
           case LoopKind::kBoth: {
-            // One backend BinaryEnd for the whole enumeration (on the
-            // succinct backend that is an excess search, worth hoisting);
-            // d_t is the cursor's first probe, f_t the subsequent ones.
+            // One BinaryEnd (an excess search, worth hoisting) for the
+            // whole enumeration; d_t is the cursor's first probe, f_t the
+            // subsequent ones.
             const NodeId scope_end = tree_.BinaryEnd(c);
             LabelIndex::SetCursor cursor(index_->labels(), jump.essential);
             NodeId m = cursor.First(c + 1, scope_end);
@@ -417,7 +416,7 @@ class AstaEvaluator {
             }
             f.phase = 1;
             SetId r1 = InternMask(f.step->r1);
-            NodeId left = tree_.Left(f.node);
+            NodeId left = tree_.BinaryLeft(f.node);
             Enter(left, r1);  // immediate results land in ret_ for phase 1
             continue;
           }
@@ -426,7 +425,7 @@ class AstaEvaluator {
             f.phase = 2;
             StateMask r2_mask = ComputeR2(*f.step, f.acc);
             SetId r2 = InternMask(r2_mask);
-            Enter(tree_.Right(f.node), r2);
+            Enter(tree_.BinaryRight(f.node), r2);
             continue;
           }
           case 2: {
@@ -473,7 +472,7 @@ class AstaEvaluator {
   }
 
   const Asta& asta_;
-  const TreeView& tree_;
+  const SuccinctTree& tree_;
   const TreeIndex* index_;
   AstaEvalOptions options_;
   TdaAnalysis tda_;
@@ -499,24 +498,12 @@ class AstaEvaluator {
 // ---------------------------------------------------------------------------
 // AstaRegionStream: lazy region-by-region driving of the evaluator above.
 
-struct AstaRegionStream::Impl {
-  virtual ~Impl() = default;
-  virtual bool NextRegion(std::vector<NodeId>* out) = 0;
-  virtual void SkipTo(NodeId target) = 0;
-  virtual const AstaEvalStats& stats() const = 0;
-  virtual bool streaming() const = 0;
-  virtual StatusCode interrupt() const = 0;
-};
-
-namespace {
-
-template <typename TreeView>
-class RegionStreamImpl final : public AstaRegionStream::Impl {
+class AstaRegionStream::Impl {
  public:
-  RegionStreamImpl(const Asta& asta, TreeView view, const TreeIndex* index,
-                   const AstaEvalOptions& options)
-      : view_(view), eval_(asta, view_, index, options) {
-    const NodeId root = view_.root();
+  Impl(const Asta& asta, const SuccinctTree& tree, const TreeIndex* index,
+       const AstaEvalOptions& options)
+      : tree_(tree), eval_(asta, tree, index, options) {
+    const NodeId root = tree_.root();
     if (root == kNullNode) {
       done_ = true;
       return;
@@ -527,9 +514,9 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
     if (options.jumping && index != nullptr) {
       const JumpInfo jump = eval_.tda().JumpFor(asta.TopMask());
       if (jump.kind == LoopKind::kBoth &&
-          !jump.essential.Contains(view_.label(root))) {
+          !jump.essential.Contains(tree_.label(root))) {
         streaming_ = true;
-        scope_end_ = view_.BinaryEnd(root);
+        scope_end_ = tree_.BinaryEnd(root);
         cursor_ = LabelIndex::SetCursor(index->labels(), jump.essential);
         next_lo_ = root + 1;
         return;
@@ -538,7 +525,7 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
     single_root_ = root;
   }
 
-  bool NextRegion(std::vector<NodeId>* out) override {
+  bool NextRegion(std::vector<NodeId>* out) {
     if (done_) return false;
     if (!streaming_) {
       done_ = true;
@@ -555,15 +542,15 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
     ++enum_jumps_;
     // Regions whose whole span precedes the seek target contain no wanted
     // match; step over them without driving the automaton.
-    while (m != kNullNode && view_.BinaryEnd(m) <= skip_to_) {
-      m = cursor_.First(view_.BinaryEnd(m), scope_end_);
+    while (m != kNullNode && tree_.BinaryEnd(m) <= skip_to_) {
+      m = cursor_.First(tree_.BinaryEnd(m), scope_end_);
       ++enum_jumps_;
     }
     if (m == kNullNode) {
       done_ = true;
       return false;
     }
-    next_lo_ = view_.BinaryEnd(m);
+    next_lo_ = tree_.BinaryEnd(m);
     AstaEvalResult r = eval_.RunAt(m);  // cumulative stats (shared evaluator)
     stats_ = r.stats;
     if (r.interrupt != StatusCode::kOk) {
@@ -575,23 +562,21 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
     return true;
   }
 
-  void SkipTo(NodeId target) override {
-    skip_to_ = std::max(skip_to_, target);
-  }
+  void SkipTo(NodeId target) { skip_to_ = std::max(skip_to_, target); }
 
-  const AstaEvalStats& stats() const override {
+  const AstaEvalStats& stats() const {
     merged_ = stats_;
     merged_.jumps += enum_jumps_;
     return merged_;
   }
 
-  bool streaming() const override { return streaming_; }
+  bool streaming() const { return streaming_; }
 
-  StatusCode interrupt() const override { return interrupt_; }
+  StatusCode interrupt() const { return interrupt_; }
 
  private:
-  const TreeView view_;
-  AstaEvaluator<TreeView> eval_;  // persists: memo tables span regions
+  const SuccinctTree& tree_;
+  AstaEvaluator eval_;  // persists: memo tables span regions
   bool streaming_ = false;
   bool done_ = false;
   NodeId single_root_ = kNullNode;
@@ -605,19 +590,10 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
   mutable AstaEvalStats merged_;
 };
 
-}  // namespace
-
-AstaRegionStream::AstaRegionStream(const Asta& asta, const Document& doc,
-                                   const TreeIndex* index,
-                                   const AstaEvalOptions& options)
-    : impl_(std::make_unique<RegionStreamImpl<PointerTreeView>>(
-          asta, PointerTreeView{&doc}, index, options)) {}
-
 AstaRegionStream::AstaRegionStream(const Asta& asta, const SuccinctTree& tree,
                                    const TreeIndex* index,
                                    const AstaEvalOptions& options)
-    : impl_(std::make_unique<RegionStreamImpl<SuccinctTreeView>>(
-          asta, SuccinctTreeView{&tree}, index, options)) {}
+    : impl_(std::make_unique<Impl>(asta, tree, index, options)) {}
 
 AstaRegionStream::AstaRegionStream(AstaRegionStream&&) noexcept = default;
 AstaRegionStream& AstaRegionStream::operator=(AstaRegionStream&&) noexcept =
@@ -632,34 +608,16 @@ void AstaRegionStream::SkipTo(NodeId target) { impl_->SkipTo(target); }
 const AstaEvalStats& AstaRegionStream::stats() const { return impl_->stats(); }
 StatusCode AstaRegionStream::interrupt() const { return impl_->interrupt(); }
 
-AstaEvalResult EvalAsta(const Asta& asta, const Document& doc,
+AstaEvalResult EvalAsta(const Asta& asta, const SuccinctTree& tree,
                         const TreeIndex* index,
                         const AstaEvalOptions& options) {
-  PointerTreeView view{&doc};
-  return AstaEvaluator<PointerTreeView>(asta, view, index, options).Run();
+  return AstaEvaluator(asta, tree, index, options).Run();
 }
 
-AstaEvalResult EvalAstaAt(const Asta& asta, const Document& doc,
+AstaEvalResult EvalAstaAt(const Asta& asta, const SuccinctTree& tree,
                           const TreeIndex* index, NodeId start,
                           const AstaEvalOptions& options) {
-  PointerTreeView view{&doc};
-  return AstaEvaluator<PointerTreeView>(asta, view, index, options)
-      .RunAt(start);
-}
-
-AstaEvalResult EvalAstaSuccinct(const Asta& asta, const SuccinctTree& tree,
-                                const TreeIndex* index,
-                                const AstaEvalOptions& options) {
-  SuccinctTreeView view{&tree};
-  return AstaEvaluator<SuccinctTreeView>(asta, view, index, options).Run();
-}
-
-AstaEvalResult EvalAstaSuccinctAt(const Asta& asta, const SuccinctTree& tree,
-                                  const TreeIndex* index, NodeId start,
-                                  const AstaEvalOptions& options) {
-  SuccinctTreeView view{&tree};
-  return AstaEvaluator<SuccinctTreeView>(asta, view, index, options)
-      .RunAt(start);
+  return AstaEvaluator(asta, tree, index, options).RunAt(start);
 }
 
 }  // namespace xpwqo

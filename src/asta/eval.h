@@ -73,34 +73,21 @@ struct AstaEvalResult {
   StatusCode interrupt = StatusCode::kOk;
 };
 
-/// Evaluates `asta` (finalized) over the document. `index` may be null when
-/// options.jumping is false. This is the pointer-backend entry point.
-AstaEvalResult EvalAsta(const Asta& asta, const Document& doc,
+/// Evaluates `asta` (finalized) over the tree. `index` may be null when
+/// options.jumping is false; with it, all four Figure-4 configurations run
+/// through the balanced-parentheses kernels and the label postings.
+AstaEvalResult EvalAsta(const Asta& asta, const SuccinctTree& tree,
                         const TreeIndex* index,
                         const AstaEvalOptions& options = {});
 
 /// Evaluates over the *binary* subtree rooted at `start` (i.e. the preorder
 /// range [start, BinaryEnd(start))) with the automaton's top state-set. The
 /// hybrid strategy uses this to run a suffix query below a pivot node:
-/// passing doc.BinaryLeft(pivot) evaluates over the pivot's strict XML
+/// passing tree.BinaryLeft(pivot) evaluates over the pivot's strict XML
 /// descendants.
-AstaEvalResult EvalAstaAt(const Asta& asta, const Document& doc,
+AstaEvalResult EvalAstaAt(const Asta& asta, const SuccinctTree& tree,
                           const TreeIndex* index, NodeId start,
                           const AstaEvalOptions& options = {});
-
-/// Evaluation over the succinct topology backend. `index` may be null when
-/// options.jumping is false; with a (succinct-backed) TreeIndex all four
-/// Figure-4 configurations run on the succinct representation — the paper's
-/// speed/space point in one configuration.
-AstaEvalResult EvalAstaSuccinct(const Asta& asta, const SuccinctTree& tree,
-                                const TreeIndex* index,
-                                const AstaEvalOptions& options = {});
-
-/// Succinct-backend counterpart of EvalAstaAt: evaluates over the binary
-/// subtree rooted at `start`.
-AstaEvalResult EvalAstaSuccinctAt(const Asta& asta, const SuccinctTree& tree,
-                                  const TreeIndex* index, NodeId start,
-                                  const AstaEvalOptions& options = {});
 
 /// Incremental, document-order evaluation: when the automaton's top
 /// determinized set jumps (LoopKind::kBoth with a finite essential set and a
@@ -122,8 +109,6 @@ AstaEvalResult EvalAstaSuccinctAt(const Asta& asta, const SuccinctTree& tree,
 /// plain full run (streaming() returns false), which is always correct.
 class AstaRegionStream {
  public:
-  AstaRegionStream(const Asta& asta, const Document& doc,
-                   const TreeIndex* index, const AstaEvalOptions& options = {});
   AstaRegionStream(const Asta& asta, const SuccinctTree& tree,
                    const TreeIndex* index, const AstaEvalOptions& options = {});
   AstaRegionStream(AstaRegionStream&&) noexcept;
@@ -150,7 +135,7 @@ class AstaRegionStream {
   /// is never emitted).
   StatusCode interrupt() const;
 
-  struct Impl;  // backend-templated implementations live in eval.cc
+  class Impl;  // defined in eval.cc
 
  private:
   std::unique_ptr<Impl> impl_;

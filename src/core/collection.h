@@ -1,7 +1,7 @@
 // Collection: many named documents behind one shared Alphabet — the
-// multi-tenant serving shape. Documents load through the same streaming
-// ingestion pipelines as a standalone Engine (pointer or succinct backend,
-// per document), but intern their labels into the collection's alphabet, so
+// multi-tenant serving shape. Documents load through the same ingestion
+// pipelines as a standalone Engine (Document kept or streamed, per
+// document), but intern their labels into the collection's alphabet, so
 // a query prepared once binds to every document, including documents added
 // after the query was prepared (new labels get fresh ids; the compiled
 // label sets stay valid).
@@ -67,8 +67,8 @@ class Collection {
   const std::shared_ptr<Alphabet>& alphabet_ptr() const { return alphabet_; }
 
   /// Loads a document under `name` (which must be new). `options.backend`
-  /// picks the representation per document; `options.alphabet` is
-  /// overridden with the collection's.
+  /// picks the pipeline per document; `options.alphabet` is overridden
+  /// with the collection's.
   Status AddXmlFile(std::string name, const std::string& path,
                     LoadOptions options = {});
   Status AddXmlString(std::string name, std::string_view xml,

@@ -144,38 +144,26 @@ StatusOr<std::unique_ptr<CursorImpl>> MakeRelaxedImpl(
   if (options.strategy == EvalStrategy::kHybrid && query.hybrid() != nullptr) {
     const HybridPlan& plan = *query.hybrid();
     if (allow_streaming) {
-      HybridStream stream =
-          ctx.tree != nullptr
-              ? HybridStream(plan, *ctx.tree, *ctx.index, options.control)
-              : HybridStream(plan, *ctx.doc, *ctx.index, options.control);
-      return std::unique_ptr<CursorImpl>(new HybridImpl(std::move(stream)));
+      return std::unique_ptr<CursorImpl>(new HybridImpl(
+          HybridStream(plan, *ctx.tree, *ctx.index, options.control)));
     }
     CursorStats stats;
     stats.used_hybrid = true;
-    StatusOr<std::vector<NodeId>> nodes =
-        ctx.tree != nullptr
-            ? plan.Run(*ctx.tree, *ctx.index, &stats.hybrid, options.control)
-            : plan.Run(*ctx.doc, *ctx.index, &stats.hybrid, options.control);
-    XPWQO_RETURN_IF_ERROR(nodes.status());
+    XPWQO_ASSIGN_OR_RETURN(
+        std::vector<NodeId> nodes,
+        plan.Run(*ctx.tree, *ctx.index, &stats.hybrid, options.control));
     return std::unique_ptr<CursorImpl>(
-        new EagerImpl(std::move(nodes).value(), std::move(stats)));
+        new EagerImpl(std::move(nodes), std::move(stats)));
   }
 
   // Automaton strategies (and the hybrid fallback when no plan applies).
   const AstaEvalOptions eval = EvalOptionsFor(options);
   const TreeIndex* index = eval.jumping ? ctx.index : nullptr;
-  if (allow_streaming && query.streamable() && eval.jumping &&
-      index != nullptr) {
-    AstaRegionStream stream =
-        ctx.tree != nullptr
-            ? AstaRegionStream(query.asta(), *ctx.tree, index, eval)
-            : AstaRegionStream(query.asta(), *ctx.doc, index, eval);
-    return std::unique_ptr<CursorImpl>(new RegionImpl(std::move(stream)));
+  if (allow_streaming && query.streamable() && eval.jumping) {
+    return std::unique_ptr<CursorImpl>(new RegionImpl(
+        AstaRegionStream(query.asta(), *ctx.tree, index, eval)));
   }
-  AstaEvalResult r = ctx.tree != nullptr
-                         ? EvalAstaSuccinct(query.asta(), *ctx.tree, index,
-                                            eval)
-                         : EvalAsta(query.asta(), *ctx.doc, index, eval);
+  AstaEvalResult r = EvalAsta(query.asta(), *ctx.tree, index, eval);
   if (r.interrupt != StatusCode::kOk) return InterruptToStatus(r.interrupt);
   CursorStats stats;
   stats.eval = r.stats;
@@ -191,8 +179,8 @@ StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
   if (options.strategy == EvalStrategy::kBaseline) {
     if (ctx.doc == nullptr) {
       return Status::InvalidArgument(
-          "baseline strategy requires the pointer Document; this engine "
-          "was streamed straight into the succinct backend");
+          "baseline strategy requires the parsed Document; load the engine "
+          "with TreeBackend::kPointer to keep it");
     }
     BaselineStats stats;
     XPWQO_ASSIGN_OR_RETURN(
@@ -202,8 +190,7 @@ StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
         new BaselineMaskImpl(std::move(mask), stats));
   }
 
-  if (query.has_value_predicates() &&
-      ctx.doc == nullptr && ctx.text == nullptr) {
+  if (query.has_value_predicates() && ctx.text == nullptr) {
     return Status::FailedPrecondition(
         "query compares text()/attribute values but this engine has no "
         "content layer (it was opened from a version-1, structural-only "

@@ -60,20 +60,21 @@ class CursorImpl {
 
 /// The engine internals a cursor evaluates against (non-owning).
 struct CursorContext {
-  const Document* doc = nullptr;        // null on streamed-succinct engines
-  const SuccinctTree* tree = nullptr;   // null on the pointer backend
+  const SuccinctTree* tree = nullptr;
   const TreeIndex* index = nullptr;
-  /// Content layer for value predicates on document-less engines (streamed
-  /// or image-backed); null on v1 images, where such queries fail with
-  /// kFailedPrecondition.
+  /// Content layer for value predicates; null on v1 images, where such
+  /// queries fail with kFailedPrecondition.
   const TextStore* text = nullptr;
+  /// The parsed Document, read only by the kBaseline strategy; null unless
+  /// the engine was loaded with TreeBackend::kPointer.
+  const Document* doc = nullptr;
 };
 
 /// Builds the producer for (query, options) over `ctx`. With
 /// `allow_streaming` false every strategy runs eagerly at construction
 /// (exactly the classic Engine::Run evaluation); with true the
 /// streaming-capable plans defer work to NextBatch. Fails like Engine::Run
-/// (e.g. baseline without a pointer Document).
+/// (e.g. baseline on an engine that kept no Document).
 StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
     const CursorContext& ctx, const PreparedQuery& query,
     const QueryOptions& options, bool allow_streaming);

@@ -19,32 +19,11 @@ size_t FileSizeOrZero(const std::string& path) {
 
 }  // namespace
 
-const char* TreeBackendName(TreeBackend backend) {
-  switch (backend) {
-    case TreeBackend::kPointer:
-      return "pointer";
-    case TreeBackend::kSuccinct:
-      return "succinct";
-  }
-  return "?";
-}
-
 Engine::Engine() : cache_(std::make_shared<QueryCache>()) {}
 
 Engine::Engine(Engine&&) noexcept = default;
 Engine& Engine::operator=(Engine&&) noexcept = default;
 Engine::~Engine() = default;
-
-Engine::Engine(Document doc, TreeBackend backend) : Engine() {
-  alphabet_ = doc.alphabet_ptr();
-  doc_ = std::make_unique<Document>(std::move(doc));
-  if (backend == TreeBackend::kSuccinct) {
-    succinct_ = std::make_unique<SuccinctTree>(*doc_);
-    index_ = std::make_unique<TreeIndex>(*succinct_);
-  } else {
-    index_ = std::make_unique<TreeIndex>(*doc_);
-  }
-}
 
 StatusOr<Engine> Engine::LoadSuccinct(
     size_t input_bytes, std::shared_ptr<Alphabet> alphabet,
@@ -85,9 +64,9 @@ StatusOr<Engine> Engine::LoadSuccinct(
   XPWQO_RETURN_IF_ERROR(parse(alphabet.get(), &sink));
   Engine engine;
   engine.alphabet_ = std::move(alphabet);
-  XPWQO_ASSIGN_OR_RETURN(engine.succinct_, std::move(sink.tree).Finish());
+  XPWQO_ASSIGN_OR_RETURN(engine.tree_, std::move(sink.tree).Finish());
   engine.index_ = std::make_unique<TreeIndex>(
-      *engine.succinct_, LabelIndex(std::move(sink.postings)));
+      *engine.tree_, LabelIndex(std::move(sink.postings)));
   engine.text_ = std::make_unique<TextStore>(std::move(sink.text).Finish());
   return engine;
 }
@@ -103,7 +82,7 @@ StatusOr<Engine> Engine::FromXmlFile(const std::string& path,
   }
   XPWQO_ASSIGN_OR_RETURN(Document doc,
                          ParseXmlFile(path, options.parse, options.alphabet));
-  return Engine(std::move(doc), TreeBackend::kPointer);
+  return FromDocument(std::move(doc));
 }
 
 StatusOr<Engine> Engine::FromXmlString(std::string_view xml,
@@ -117,25 +96,18 @@ StatusOr<Engine> Engine::FromXmlString(std::string_view xml,
   }
   XPWQO_ASSIGN_OR_RETURN(
       Document doc, ParseXmlString(xml, options.parse, options.alphabet));
-  return Engine(std::move(doc), TreeBackend::kPointer);
+  return FromDocument(std::move(doc));
 }
 
-StatusOr<Engine> Engine::FromXmlFile(const std::string& path,
-                                     TreeBackend backend) {
-  LoadOptions options;
-  options.backend = backend;
-  return FromXmlFile(path, options);
-}
-
-StatusOr<Engine> Engine::FromXmlString(std::string_view xml,
-                                       TreeBackend backend) {
-  LoadOptions options;
-  options.backend = backend;
-  return FromXmlString(xml, options);
-}
-
-Engine Engine::FromDocument(Document doc, TreeBackend backend) {
-  return Engine(std::move(doc), backend);
+Engine Engine::FromDocument(Document doc) {
+  Engine engine;
+  engine.alphabet_ = doc.alphabet_ptr();
+  engine.doc_ = std::make_unique<Document>(std::move(doc));
+  engine.tree_ = std::make_unique<SuccinctTree>(*engine.doc_);
+  engine.index_ = std::make_unique<TreeIndex>(*engine.tree_);
+  engine.text_ =
+      std::make_unique<TextStore>(TextStore::FromDocument(*engine.doc_));
+  return engine;
 }
 
 Engine Engine::FromImageParts(std::shared_ptr<Alphabet> alphabet,
@@ -146,31 +118,30 @@ Engine Engine::FromImageParts(std::shared_ptr<Alphabet> alphabet,
   Engine engine;
   engine.alphabet_ = std::move(alphabet);
   engine.backing_ = std::move(backing);
-  engine.succinct_ = std::move(tree);
-  engine.index_ = std::make_unique<TreeIndex>(*engine.succinct_,
+  engine.tree_ = std::move(tree);
+  engine.index_ = std::make_unique<TreeIndex>(*engine.tree_,
                                               std::move(labels));
   engine.text_ = std::move(text);
   return engine;
 }
 
 std::string Engine::PathTo(NodeId n) const {
-  if (doc_ != nullptr) return doc_->PathTo(n);
   std::vector<NodeId> chain;
-  for (NodeId cur = n; cur != kNullNode; cur = succinct_->parent(cur)) {
+  for (NodeId cur = n; cur != kNullNode; cur = tree_->parent(cur)) {
     chain.push_back(cur);
   }
   std::string out;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     out += "/";
-    out += alphabet_->Name(succinct_->label(*it));
+    out += alphabet_->Name(tree_->label(*it));
   }
   return out.empty() ? "/" : out;
 }
 
 namespace {
 
-/// The succinct backend (tree topology + alphabet names + TextStore
-/// values) through the serializer's backend-neutral view.
+/// The index (tree topology + alphabet names + TextStore values) through
+/// the serializer's XmlNodeSource view.
 class SuccinctXmlSource final : public XmlNodeSource {
  public:
   SuccinctXmlSource(const SuccinctTree& tree, const Alphabet& alphabet,
@@ -196,15 +167,14 @@ class SuccinctXmlSource final : public XmlNodeSource {
 
 StatusOr<std::string> Engine::SerializeSubtree(
     NodeId n, const XmlSerializeOptions& options) const {
-  if (doc_ != nullptr) return SerializeXml(*doc_, options, n);
   if (text_ == nullptr) {
     return Status::FailedPrecondition(
         "cannot serialize XML: this engine has no content layer (it was "
         "opened from a version-1, structural-only index image; re-save it "
         "to get a version-2 image with text)");
   }
-  return SerializeXml(SuccinctXmlSource(*succinct_, *alphabet_, *text_),
-                      options, n);
+  return SerializeXml(SuccinctXmlSource(*tree_, *alphabet_, *text_), options,
+                      n);
 }
 
 IndexMemoryReport Engine::IndexMemory() const {
@@ -214,8 +184,7 @@ IndexMemoryReport Engine::IndexMemory() const {
   report.label_index_vector_bytes = postings.vector_bytes;
   report.dense_labels = postings.dense_labels;
   report.sparse_labels = postings.sparse_labels;
-  report.tree_bytes = succinct_ != nullptr ? succinct_->MemoryUsage()
-                                           : doc_->MemoryUsage();
+  report.tree_bytes = tree_->MemoryUsage();
   report.text_store_bytes = text_ != nullptr ? text_->MemoryUsage() : 0;
   return report;
 }
@@ -226,10 +195,10 @@ StatusOr<PreparedQuery> Engine::Compile(std::string_view xpath) const {
 
 internal::CursorContext Engine::Context() const {
   internal::CursorContext ctx;
-  ctx.doc = doc_.get();
-  ctx.tree = succinct_.get();
+  ctx.tree = tree_.get();
   ctx.index = index_.get();
   ctx.text = text_.get();
+  ctx.doc = doc_.get();
   return ctx;
 }
 

@@ -1,7 +1,9 @@
 // Engine: one document plus its index — the per-document slice of the
-// serving surface. Queries are prepared once (PreparedQuery), results pull
-// through a streaming ResultCursor, and many engines sharing one Alphabet
-// form a Collection (collection.h) that a single prepared query spans.
+// serving surface. Every strategy but the node-set baseline evaluates on
+// the succinct index (SuccinctTree + LabelIndex + TextStore). Queries are
+// prepared once (PreparedQuery), results pull through a streaming
+// ResultCursor, and many engines sharing one Alphabet form a Collection
+// (collection.h) that a single prepared query spans.
 //
 //   Collection library;
 //   XPWQO_RETURN_IF_ERROR(library.AddXmlFile("2024", "sales-2024.xml"));
@@ -18,6 +20,10 @@
 //       ...  // stop any time: LIMIT-k never sweeps the rest of the tree
 //     }
 //   }
+//
+// The "2024" document keeps its parsed Document (the kPointer default), so
+// it also answers EvalStrategy::kBaseline; "2025" streams straight into the
+// index and does not. Both answer every other strategy identically.
 //
 // Single-document usage keeps the classic one-liners; the string overload
 // of Run caches compilations in a small LRU, so repeated query strings stop
@@ -55,23 +61,23 @@
 
 namespace xpwqo {
 
-/// Which tree representation the engine evaluates on. The pointer backend
-/// is the default; the succinct backend keeps the topology in ~2 bits/node
-/// (plus directories) and runs every strategy — including jumping — through
-/// the balanced-parentheses kernels and a succinct-backed TreeIndex.
+/// Whether a load keeps the parsed Document next to the index. The index
+/// is the same either way, and so is every answer of every strategy except
+/// EvalStrategy::kBaseline, the only one that reads the Document.
 enum class TreeBackend {
+  /// Parse into a Document, build the index from it, and keep it: the
+  /// engine also answers kBaseline (the oracle the parity tests use).
   kPointer,
+  /// Stream parser events straight into the SuccinctBuilder,
+  /// LabelPostingsBuilder and TextStoreBuilder; no Document is ever
+  /// materialized, so peak load memory stays near the steady-state
+  /// footprint. This is what serving loads use.
   kSuccinct,
 };
 
-const char* TreeBackendName(TreeBackend backend);
-
-/// How to load XML into an engine. The backend picks the ingestion
-/// pipeline: the pointer backend streams parser events into a TreeBuilder;
-/// the succinct backend streams the same events into a SuccinctBuilder and
-/// a LabelPostingsBuilder, so no pointer Document is ever materialized and
-/// peak load memory stays near the steady-state footprint.
+/// How to load XML into an engine.
 struct LoadOptions {
+  /// The default keeps the Document, so default engines answer kBaseline.
   TreeBackend backend = TreeBackend::kPointer;
   XmlParseOptions parse;
   /// Intern labels through this alphabet instead of a fresh private one —
@@ -87,7 +93,7 @@ struct IndexMemoryReport {
   size_t label_index_vector_bytes = 0;  // same lists as plain vectors
   size_t dense_labels = 0;              // bitmap-backed labels
   size_t sparse_labels = 0;             // delta-block-backed labels
-  size_t tree_bytes = 0;  // backing tree (succinct BP or pointer arrays)
+  size_t tree_bytes = 0;  // succinct BP + directories + label array
   size_t text_store_bytes = 0;  // content layer (bitmap + offsets + heap)
 
   double compression_ratio() const {
@@ -98,31 +104,20 @@ struct IndexMemoryReport {
   }
 };
 
-/// Compatibility name: Engine::Compile has always returned a reusable
-/// compiled query; it is now the same object the serving API prepares.
-using CompiledQuery = PreparedQuery;
-
 /// One document plus its index; immutable after construction, cheap to move.
 class Engine {
  public:
-  /// Streams the XML into the backend selected by `options` — the single
-  /// entry point that chooses the ingestion pipeline.
+  /// Loads the XML through the pipeline `options.backend` selects — the
+  /// single entry point that chooses the ingestion pipeline.
   static StatusOr<Engine> FromXmlFile(const std::string& path,
                                       const LoadOptions& options = {});
   static StatusOr<Engine> FromXmlString(std::string_view xml,
                                         const LoadOptions& options = {});
-  /// Backend-only conveniences.
-  static StatusOr<Engine> FromXmlFile(const std::string& path,
-                                      TreeBackend backend);
-  static StatusOr<Engine> FromXmlString(std::string_view xml,
-                                        TreeBackend backend);
-  /// Wraps an already-materialized Document (kept even on the succinct
-  /// backend — it is already paid for; use the FromXml* loaders to avoid
-  /// materializing one at all).
-  static Engine FromDocument(Document doc,
-                             TreeBackend backend = TreeBackend::kPointer);
+  /// Indexes an already-materialized Document and keeps it, like a
+  /// kPointer load.
+  static Engine FromDocument(Document doc);
 
-  /// Assembles a succinct-backend engine from persistent-image parts: a
+  /// Assembles a Document-less engine from persistent-image parts: a
   /// SuccinctTree and LabelIndex whose raw bytes live inside `backing`
   /// (the mapped image), which the engine keeps alive for its lifetime.
   /// The persist loader (persist/index_image.h) validates everything
@@ -193,43 +188,32 @@ class Engine {
                          const QueryOptions& options = {},
                          CursorStats* stats = nullptr) const;
 
-  /// The pointer Document. Requires has_document(): engines loaded straight
-  /// into the succinct backend never materialize one.
+  /// The parsed Document. Requires has_document(): only kPointer loads and
+  /// FromDocument keep one.
   const Document& document() const {
     XPWQO_CHECK(doc_ != nullptr);
     return *doc_;
   }
   bool has_document() const { return doc_ != nullptr; }
+  const SuccinctTree& tree() const { return *tree_; }
   const TreeIndex& index() const { return *index_; }
-  /// The label alphabet (shared by the document representation and query
-  /// compilation, whichever backend is loaded).
+  /// The label alphabet (shared by the index and query compilation).
   const Alphabet& alphabet() const { return *alphabet_; }
   const std::shared_ptr<Alphabet>& alphabet_ptr() const { return alphabet_; }
-  /// Number of nodes, on either backend.
-  int32_t num_nodes() const {
-    return doc_ != nullptr ? doc_->num_nodes() : succinct_->num_nodes();
-  }
-  TreeBackend backend() const {
-    return succinct_ == nullptr ? TreeBackend::kPointer
-                                : TreeBackend::kSuccinct;
-  }
-  /// The succinct tree, or null on the pointer backend.
-  const SuccinctTree* succinct_tree() const { return succinct_.get(); }
-  /// The content layer, or null. Streamed succinct loads always build one;
-  /// engines opened from a v1 (structural-only) image have none. Pointer
-  /// engines serve values from the Document instead.
+  int32_t num_nodes() const { return tree_->num_nodes(); }
+  /// The content layer, or null for engines opened from a v1
+  /// (structural-only) image.
   const TextStore* text_store() const { return text_.get(); }
-  /// Root-to-node label path such as "/site/regions/item", on either
-  /// backend (diagnostics; the examples print match locations with it).
+  /// Root-to-node label path such as "/site/regions/item" (diagnostics; the
+  /// examples print match locations with it).
   std::string PathTo(NodeId n) const;
   /// Serializes the subtree rooted at `n` (kNullNode = whole document)
-  /// back to XML text, from the Document on the pointer backend or from
-  /// the succinct tree plus the TextStore on content-bearing succinct
-  /// engines. kFailedPrecondition on v1-image engines, which store no
-  /// text to serialize.
+  /// back to XML text from the succinct tree plus the TextStore.
+  /// kFailedPrecondition on v1-image engines, which store no text to
+  /// serialize.
   StatusOr<std::string> SerializeSubtree(
       NodeId n = kNullNode, const XmlSerializeOptions& options = {}) const;
-  /// Memory accounting of the loaded tree + label index.
+  /// Memory accounting of the tree, label index and content layer.
   IndexMemoryReport IndexMemory() const;
 
   /// The string-compilation LRU this engine compiles through. Private by
@@ -257,8 +241,7 @@ class Engine {
 
  private:
   Engine();
-  Engine(Document doc, TreeBackend backend);
-  /// Shared streamed-succinct load path of the FromXml* entry points.
+  /// The kSuccinct load path of the FromXml* entry points.
   static StatusOr<Engine> LoadSuccinct(
       size_t input_bytes, std::shared_ptr<Alphabet> alphabet,
       const std::function<Status(Alphabet*, TreeEventSink*)>& parse);
@@ -272,12 +255,10 @@ class Engine {
   /// structures below read straight out of it, so it is declared first
   /// (destroyed last). Null for built engines.
   std::shared_ptr<const void> backing_;
-  std::unique_ptr<Document> doc_;  // null on streaming-succinct loads
-  std::unique_ptr<SuccinctTree> succinct_;  // null on the pointer backend
-  std::unique_ptr<TreeIndex> index_;  // over succinct_ when configured
-  /// Content layer for document-less engines (streamed succinct loads and
-  /// v2 image opens); null when doc_ carries the values or on v1 images.
-  std::unique_ptr<TextStore> text_;
+  std::unique_ptr<SuccinctTree> tree_;
+  std::unique_ptr<TreeIndex> index_;  // over tree_
+  std::unique_ptr<TextStore> text_;   // null on v1 images
+  std::unique_ptr<Document> doc_;     // kBaseline's input; kPointer only
   /// LRU of string-compiled queries (internally locked; see the class
   /// comment for the new-query interning caveat). Shared with the owning
   /// Collection when there is one.

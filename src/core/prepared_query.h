@@ -47,7 +47,7 @@ class PreparedQuery {
   const Path& relaxed_path() const { return relaxed_path_; }
   /// True when the query contains a value comparison ([text()='v'],
   /// [@attr='v'], [contains(...,'v')]) anywhere, so evaluation needs the
-  /// post-filter stage (and a content source: Document or TextStore).
+  /// post-filter stage (and so the engine's TextStore).
   bool has_value_predicates() const { return has_value_predicates_; }
   const Asta& asta() const { return asta_; }
   /// Start-anywhere plan, or null when the path is not a //-chain.

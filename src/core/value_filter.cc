@@ -7,15 +7,14 @@
 
 #include "index/succinct_tree.h"
 #include "index/text_store.h"
-#include "tree/document.h"
 
 namespace xpwqo {
 namespace internal {
 namespace {
 
 /// What a label names in the XPath data model. Derived from the label
-/// spelling ("@name" attributes, "#text" text), which is how both backends
-/// encode node kinds — the succinct tree stores no kind array.
+/// spelling ("@name" attributes, "#text" text), which is how node kinds are
+/// encoded — the succinct tree stores no kind array.
 enum class NodeClass : uint8_t { kElement, kAttribute, kText };
 
 /// Backward verification of one candidate against the full original path.
@@ -30,9 +29,8 @@ class PathVerifier {
   PathVerifier(const Path& path, const CursorContext& ctx,
                const Alphabet& alphabet, ExecMonitor* monitor)
       : path_(path),
-        doc_(ctx.doc),
-        tree_(ctx.tree),
-        text_(ctx.text),
+        tree_(*ctx.tree),
+        text_(*ctx.text),
         monitor_(monitor) {
     const int num_labels = alphabet.size();
     class_of_.reserve(static_cast<size_t>(num_labels));
@@ -69,29 +67,8 @@ class PathVerifier {
     ResolveNames(pred.path, alphabet);
   }
 
-  // Backend-dispatched navigation (preorder NodeIds are interchangeable).
-  NodeId Parent(NodeId n) const {
-    return doc_ != nullptr ? doc_->parent(n) : tree_->parent(n);
-  }
-  NodeId FirstChild(NodeId n) const {
-    return doc_ != nullptr ? doc_->first_child(n) : tree_->first_child(n);
-  }
-  NodeId NextSibling(NodeId n) const {
-    return doc_ != nullptr ? doc_->next_sibling(n) : tree_->next_sibling(n);
-  }
-  NodeId XmlEnd(NodeId n) const {
-    return doc_ != nullptr ? doc_->XmlEnd(n) : tree_->XmlEnd(n);
-  }
-  LabelId Label(NodeId n) const {
-    return doc_ != nullptr ? doc_->label(n) : tree_->label(n);
-  }
-  std::string_view Value(NodeId n) const {
-    if (doc_ != nullptr) return doc_->text(n);
-    if (text_ != nullptr && text_->has_value(n)) return text_->Value(n);
-    return {};
-  }
   NodeClass ClassOf(NodeId n) const {
-    const LabelId l = Label(n);
+    const LabelId l = tree_.label(n);
     return static_cast<size_t>(l) < class_of_.size() ? class_of_[l]
                                                      : NodeClass::kElement;
   }
@@ -106,7 +83,7 @@ class PathVerifier {
     switch (step.test.kind) {
       case NodeTestKind::kName: {
         const LabelId id = name_ids_.at(&step);
-        if (id == kNoLabel || Label(n) != id) return false;
+        if (id == kNoLabel || tree_.label(n) != id) return false;
         break;
       }
       case NodeTestKind::kStar:
@@ -142,7 +119,7 @@ class PathVerifier {
   }
 
   bool CompareValue(const PredExpr& cmp, NodeId m) {
-    const std::string_view v = Value(m);
+    const std::string_view v = text_.Value(m);
     return cmp.op == ValueCmpOp::kEquals
                ? v == cmp.literal
                : v.find(cmp.literal) != std::string_view::npos;
@@ -170,15 +147,15 @@ class PathVerifier {
     switch (step.axis) {
       case Axis::kChild:
       case Axis::kAttribute:
-        for (NodeId c = FirstChild(context); c != kNullNode;
-             c = NextSibling(c)) {
+        for (NodeId c = tree_.first_child(context); c != kNullNode;
+             c = tree_.next_sibling(c)) {
           const int r = visit(c);
           if (r != 0) return r > 0;
         }
         return false;
       case Axis::kDescendant: {
         // Descendants of context = the preorder range (context, XmlEnd).
-        const NodeId end = XmlEnd(context);
+        const NodeId end = tree_.XmlEnd(context);
         for (NodeId m = context + 1; m < end; ++m) {
           const int r = visit(m);
           if (r != 0) return r > 0;
@@ -186,8 +163,8 @@ class PathVerifier {
         return false;
       }
       case Axis::kFollowingSibling:
-        for (NodeId s = NextSibling(context); s != kNullNode;
-             s = NextSibling(s)) {
+        for (NodeId s = tree_.next_sibling(context); s != kNullNode;
+             s = tree_.next_sibling(s)) {
           const int r = visit(s);
           if (r != 0) return r > 0;
         }
@@ -207,20 +184,20 @@ class PathVerifier {
     switch (step.axis) {
       case Axis::kChild:
       case Axis::kAttribute: {
-        const NodeId p = Parent(n);
+        const NodeId p = tree_.parent(n);
         return p != kNullNode && CanEnd(i - 1, p);
       }
       case Axis::kDescendant:
-        for (NodeId p = Parent(n); p != kNullNode; p = Parent(p)) {
+        for (NodeId p = tree_.parent(n); p != kNullNode; p = tree_.parent(p)) {
           if (CanEnd(i - 1, p)) return true;
           if (monitor_->stopped()) return false;
         }
         return false;
       case Axis::kFollowingSibling: {
-        const NodeId p = Parent(n);
+        const NodeId p = tree_.parent(n);
         if (p == kNullNode) return false;
-        for (NodeId s = FirstChild(p); s != kNullNode && s != n;
-             s = NextSibling(s)) {
+        for (NodeId s = tree_.first_child(p); s != kNullNode && s != n;
+             s = tree_.next_sibling(s)) {
           if (CanEnd(i - 1, s)) return true;
           if (monitor_->stopped()) return false;
         }
@@ -231,9 +208,8 @@ class PathVerifier {
   }
 
   const Path& path_;
-  const Document* doc_;
-  const SuccinctTree* tree_;
-  const TextStore* text_;
+  const SuccinctTree& tree_;
+  const TextStore& text_;
   ExecMonitor* monitor_;
   std::vector<NodeClass> class_of_;  // indexed by LabelId
   /// Pre-resolved kName tests, keyed by step identity (the path AST is

@@ -5,9 +5,8 @@
 // a pure widening), so the producers stream a *superset* of the answer.
 // This layer closes the gap: a PathVerifier re-checks each candidate
 // against the full original path — including [text()='v'], [@attr='v'] and
-// [contains(...,'v')] — by walking the tree backend directly, reading
-// values from the pointer Document or, on streamed/image-backed engines,
-// from the TextStore. Every visited node is charged to the query's
+// [contains(...,'v')] — by walking the succinct tree directly and reading
+// values from the TextStore. Every visited node is charged to the query's
 // ExecControl, so governed serving keeps its deadline guarantees through
 // the comparison work too.
 //
@@ -28,9 +27,9 @@ namespace xpwqo {
 namespace internal {
 
 /// Wraps a relaxed-plan producer in a verification stage that keeps only
-/// the candidates the full `path` selects. `ctx` must carry a value source
-/// (doc or text) — MakeCursorImpl rejects the call otherwise — and `path`,
-/// `alphabet`, `ctx` and `control` must outlive the returned producer.
+/// the candidates the full `path` selects. `ctx` must carry a TextStore —
+/// MakeCursorImpl rejects the call otherwise — and `path`, `alphabet`,
+/// `ctx` and `control` must outlive the returned producer.
 /// Document order and the streaming/SkipHint contracts pass through
 /// unchanged; verification work is charged against `control`.
 std::unique_ptr<CursorImpl> WrapWithValueFilter(

@@ -7,9 +7,9 @@
 // Posting lists are stored compressed (see index/postings.h): sparse labels
 // as 32-entry delta blocks behind a skip table, dense labels as
 // rank-indexed bitmaps — chosen per label when the index freezes. The lists
-// can be built from either tree backend (the pointer Document or a
-// SuccinctTree's label array — node ids are preorder ranks in both) or grown
-// compressed in-pass during streaming ingestion.
+// can be built from a Document or a SuccinctTree's label array (node ids are
+// preorder ranks in both) or grown compressed in-pass during streaming
+// ingestion.
 #ifndef XPWQO_INDEX_LABEL_INDEX_H_
 #define XPWQO_INDEX_LABEL_INDEX_H_
 
@@ -30,7 +30,7 @@ class LabelPostingsBuilder;
 class LabelIndex {
  public:
   explicit LabelIndex(const Document& doc);
-  /// Builds the postings straight from the succinct backend's label array.
+  /// Builds the postings straight from the tree's label array.
   explicit LabelIndex(const SuccinctTree& tree);
   /// Adopts posting lists grown incrementally during streaming ingestion.
   explicit LabelIndex(LabelPostingsBuilder&& builder);

@@ -1,8 +1,9 @@
 // SuccinctTree: the document topology in 2 bits per node (+ directory), per
 // the paper's use of fully-functional succinct trees [18] to avoid the 5-10x
-// memory blow-up of pointer structures (§1). Node identifiers are preorder
-// ranks and therefore interchangeable with Document NodeIds, so the label
-// index and every evaluator work unchanged on either backend.
+// memory blow-up of pointer structures (§1). Every evaluator but the
+// node-set baseline runs on it. Node identifiers are preorder ranks and
+// therefore interchangeable with Document NodeIds, so the baseline's answers
+// over a Document compare directly with the evaluators' over its tree.
 #ifndef XPWQO_INDEX_SUCCINCT_TREE_H_
 #define XPWQO_INDEX_SUCCINCT_TREE_H_
 

@@ -32,7 +32,7 @@ namespace xpwqo {
 class Document;
 
 /// Immutable node→value map. Build through TextStoreBuilder (streaming),
-/// FromDocument (pointer backend), or FromExternal (mapped v2 image).
+/// FromDocument (kPointer loads), or FromExternal (mapped v2 image).
 class TextStore {
  public:
   TextStore() = default;

@@ -1,33 +1,25 @@
-// TreeIndex: the jumping primitives of Definition 3.2 over a tree backend
-// and its LabelIndex, plus the "topmost labeled nodes" enumeration derived
-// from them (d_t to find the first, f_t to step over binary subtrees).
-//
-// The index is backend-parameterized: it runs over either the pointer-based
-// Document or the SuccinctTree. Node identifiers are preorder ranks in both,
-// so the posting lists are identical; only the navigation primitives
-// (BinaryEnd/XmlEnd/parent/first_child) differ — O(1) array reads on the
-// pointer backend, balanced-parentheses kernel calls (FindClose / excess
-// search / Enclose) on the succinct one. All node identifiers are preorder
+// TreeIndex: the jumping primitives of Definition 3.2 over the succinct
+// tree and its LabelIndex, plus the "topmost labeled nodes" enumeration
+// derived from them (d_t to find the first, f_t to step over binary
+// subtrees). Navigation resolves through the balanced-parentheses kernels
+// (FindClose / excess search / Enclose). All node identifiers are preorder
 // ranks, and the *binary* tree of the paper is the first-child/next-sibling
 // view: the binary subtree of n spans the preorder range [n, BinaryEnd(n)).
 #ifndef XPWQO_INDEX_TREE_INDEX_H_
 #define XPWQO_INDEX_TREE_INDEX_H_
 
-#include <memory>
 #include <utility>
 
 #include "index/label_index.h"
 #include "index/succinct_tree.h"
-#include "tree/document.h"
 #include "tree/label_set.h"
 
 namespace xpwqo {
 
-/// Jump functions over one document, on either backend. Holds a reference
-/// to the backing tree, which must outlive the index.
+/// Jump functions over one document. Holds a reference to the tree, which
+/// must outlive the index.
 class TreeIndex {
  public:
-  explicit TreeIndex(const Document& doc) : doc_(&doc), labels_(doc) {}
   explicit TreeIndex(const SuccinctTree& tree)
       : tree_(&tree), labels_(tree) {}
   /// From-builder: adopts a LabelIndex grown during streaming ingestion
@@ -35,9 +27,7 @@ class TreeIndex {
   TreeIndex(const SuccinctTree& tree, LabelIndex labels)
       : tree_(&tree), labels_(std::move(labels)) {}
 
-  /// The pointer backend, or null when succinct-backed (and vice versa).
-  const Document* doc() const { return doc_; }
-  const SuccinctTree* succinct() const { return tree_; }
+  const SuccinctTree& tree() const { return *tree_; }
   const LabelIndex& labels() const { return labels_; }
 
   /// d_t(n, L): first *binary-tree* descendant of n (strictly below, in
@@ -72,62 +62,19 @@ class TreeIndex {
   /// index to skip over sibling subtrees.
   NodeId RightPathFirst(NodeId n, const LabelSet& set) const;
 
-  /// Backend-dispatched navigation (one predictable branch; the posting
-  /// probes dominate every caller's cost).
-  NodeId BinaryEnd(NodeId n) const {
-    return doc_ != nullptr ? doc_->BinaryEnd(n) : tree_->BinaryEnd(n);
-  }
-  NodeId XmlEnd(NodeId n) const {
-    return doc_ != nullptr ? doc_->XmlEnd(n) : tree_->XmlEnd(n);
-  }
-  NodeId Parent(NodeId n) const {
-    return doc_ != nullptr ? doc_->parent(n) : tree_->parent(n);
-  }
-  NodeId FirstChild(NodeId n) const {
-    return doc_ != nullptr ? doc_->first_child(n) : tree_->first_child(n);
-  }
-  NodeId NextSibling(NodeId n) const {
-    return doc_ != nullptr ? doc_->next_sibling(n) : tree_->next_sibling(n);
-  }
-  LabelId Label(NodeId n) const {
-    return doc_ != nullptr ? doc_->label(n) : tree_->label(n);
-  }
+  NodeId BinaryEnd(NodeId n) const { return tree_->BinaryEnd(n); }
+  NodeId XmlEnd(NodeId n) const { return tree_->XmlEnd(n); }
+  NodeId Parent(NodeId n) const { return tree_->parent(n); }
+  NodeId FirstChild(NodeId n) const { return tree_->first_child(n); }
+  NodeId NextSibling(NodeId n) const { return tree_->next_sibling(n); }
+  LabelId Label(NodeId n) const { return tree_->label(n); }
 
   /// Global count of a label (O(1), used by the hybrid strategy).
   int32_t Count(LabelId label) const { return labels_.Count(label); }
 
  private:
-  const Document* doc_ = nullptr;
-  const SuccinctTree* tree_ = nullptr;
+  const SuccinctTree* tree_;
   LabelIndex labels_;
-};
-
-/// Static-polymorphism views so the evaluators can run over either the
-/// pointer-based Document or the SuccinctTree backend (same NodeIds).
-struct PointerTreeView {
-  const Document* doc;
-
-  int32_t num_nodes() const { return doc->num_nodes(); }
-  NodeId root() const { return doc->root(); }
-  LabelId label(NodeId n) const { return doc->label(n); }
-  NodeId Left(NodeId n) const { return doc->BinaryLeft(n); }
-  NodeId Right(NodeId n) const { return doc->BinaryRight(n); }
-  NodeId Parent(NodeId n) const { return doc->parent(n); }
-  NodeId XmlEnd(NodeId n) const { return doc->XmlEnd(n); }
-  NodeId BinaryEnd(NodeId n) const { return doc->BinaryEnd(n); }
-};
-
-struct SuccinctTreeView {
-  const SuccinctTree* tree;
-
-  int32_t num_nodes() const { return tree->num_nodes(); }
-  NodeId root() const { return tree->root(); }
-  LabelId label(NodeId n) const { return tree->label(n); }
-  NodeId Left(NodeId n) const { return tree->BinaryLeft(n); }
-  NodeId Right(NodeId n) const { return tree->BinaryRight(n); }
-  NodeId Parent(NodeId n) const { return tree->parent(n); }
-  NodeId XmlEnd(NodeId n) const { return tree->XmlEnd(n); }
-  NodeId BinaryEnd(NodeId n) const { return tree->BinaryEnd(n); }
 };
 
 }  // namespace xpwqo

@@ -7,7 +7,6 @@
 // re-serializes to exactly the bytes it was opened from (the round-trip
 // tests assert both, for both versions).
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,30 +25,15 @@ using persist::PutU32;
 using persist::PutU64;
 
 std::string SerializeIndexImage(const Engine& engine) {
-  // The image always stores the succinct view; a pointer-backend engine
-  // encodes its topology through a temporary conversion (same preorder
-  // NodeIds, so the postings and every query answer carry over).
-  const SuccinctTree* tree = engine.succinct_tree();
-  std::unique_ptr<SuccinctTree> converted;
-  if (tree == nullptr) {
-    converted = std::make_unique<SuccinctTree>(engine.document());
-    tree = converted.get();
-  }
+  const SuccinctTree& tree = engine.tree();
   const Alphabet& alphabet = engine.alphabet();
-  const size_t num_nodes = static_cast<size_t>(tree->num_nodes());
+  const size_t num_nodes = static_cast<size_t>(tree.num_nodes());
 
-  // The content layer: streamed succinct loads and v2-opened engines carry
-  // a TextStore; pointer-backend engines build one from the Document here.
-  // Only engines opened from a v1 image have neither — those re-save as
-  // v1, keeping the byte-identical re-serialization fixpoint (a fabricated
-  // all-empty text section would claim values the image never had).
+  // Only engines opened from a v1 image lack a content layer; those re-save
+  // as v1, keeping the byte-identical re-serialization fixpoint (a
+  // fabricated all-empty text section would claim values the image never
+  // had).
   const TextStore* text = engine.text_store();
-  std::unique_ptr<TextStore> built_text;
-  if (text == nullptr && engine.has_document()) {
-    built_text =
-        std::make_unique<TextStore>(TextStore::FromDocument(engine.document()));
-    text = built_text.get();
-  }
   const uint32_t version =
       text != nullptr ? persist::kImageVersion : persist::kMinImageVersion;
 
@@ -78,9 +62,9 @@ std::string SerializeIndexImage(const Engine& engine) {
     std::memcpy(s->data() + dir_pos, offsets.data(),
                 offsets.size() * sizeof(uint64_t));
   }
-  tree->bp_bits().SerializeWordsTo(&sections[2]);  // bp_bits
-  {                                                // labels
-    const std::span<const LabelId> labels = tree->label_array();
+  tree.bp_bits().SerializeWordsTo(&sections[2]);  // bp_bits
+  {                                               // labels
+    const std::span<const LabelId> labels = tree.label_array();
     sections[3].append(reinterpret_cast<const char*>(labels.data()),
                        labels.size() * sizeof(LabelId));
   }

@@ -6,17 +6,16 @@
 //   XPWQO_RETURN_IF_ERROR(SaveIndexImage(built, "doc.idx"));
 //   ...
 //   XPWQO_ASSIGN_OR_RETURN(Engine served, OpenIndexImage("doc.idx"));
-//   // served answers every query the built succinct engine answers;
-//   // opening cost one mmap + in-memory directory rebuilds.
+//   // served answers every query the built engine answers except
+//   // kBaseline (an image keeps no Document); opening cost one mmap +
+//   // in-memory directory rebuilds.
 //
-// The image always stores the succinct view (BP bits + label array +
-// compressed postings + alphabet): saving a pointer-backend engine encodes
-// its topology through a temporary SuccinctTree, and Open always returns a
-// succinct-backend engine. Node ids are preorder ranks on both backends,
-// so query results are identical. Version 2 images also carry the content
-// layer (attribute values and text content, TextStore) in the text
-// section; v1 images are structural-only and still open, but value
-// predicates ([text()='v']) against them fail with kFailedPrecondition.
+// The image stores the engine's index (BP bits + label array + compressed
+// postings + alphabet), so a kPointer and a kSuccinct load of the same XML
+// save identical bytes. Version 2 images also carry the content layer
+// (attribute values and text content, TextStore) in the text section; v1
+// images are structural-only and still open, but value predicates
+// ([text()='v']) against them fail with kFailedPrecondition.
 //
 // Failure taxonomy (see util/status.h): kIoError for OS-level failures
 // (open/stat/mmap/write — retrying may succeed), kCorruption for bytes

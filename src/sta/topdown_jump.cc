@@ -62,13 +62,12 @@ std::vector<StateJumpInfo> ClassifyStates(const Sta& sta) {
   return infos;
 }
 
-template <typename TreeView>
 class JumpRunner {
  public:
-  JumpRunner(const Sta& sta, const TreeView& doc, const TreeIndex& index,
+  JumpRunner(const Sta& sta, const SuccinctTree& tree, const TreeIndex& index,
              const JumpRunOptions& options)
       : sta_(sta),
-        doc_(doc),
+        tree_(tree),
         index_(index),
         options_(options),
         infos_(ClassifyStates(sta)),
@@ -78,14 +77,14 @@ class JumpRunner {
   JumpRunResult Run() {
     XPWQO_CHECK(sta_.tops().size() == 1);
     JumpRunResult out;
-    out.states.assign(doc_.num_nodes(), kNoState);
+    out.states.assign(tree_.num_nodes(), kNoState);
     result_ = &out;
     failed_ = false;
     // relevant_nodes at the root, then depth-first; the explicit stack holds
     // pending (node, state) visits in reverse document order. Visits pop in
     // document order, so the selected list grows in document order and the
     // max_selected cut keeps exactly the first k selections of the run.
-    EnterChild(doc_.root(), sta_.tops()[0]);
+    EnterChild(tree_.root(), sta_.tops()[0]);
     while (!stack_.empty() && !failed_) {
       if (options_.max_selected >= 0 &&
           static_cast<int64_t>(out.selected.size()) >=
@@ -102,14 +101,14 @@ class JumpRunner {
       // result carrying only the stop code and the work done so far.
       JumpRunStats stats = out.stats;
       out = JumpRunResult{};
-      out.states.assign(doc_.num_nodes(), kNoState);
+      out.states.assign(tree_.num_nodes(), kNoState);
       out.stats = stats;
       out.interrupt = monitor_.stop_code();
       return out;
     }
     if (failed_) {
       out = JumpRunResult{};
-      out.states.assign(doc_.num_nodes(), kNoState);
+      out.states.assign(tree_.num_nodes(), kNoState);
       return out;
     }
     out.accepting = true;
@@ -128,7 +127,7 @@ class JumpRunner {
         Push(c, q);
         return;
       case StateJumpInfo::kDescendants: {
-        if (info.essential.Contains(doc_.label(c))) {
+        if (info.essential.Contains(tree_.label(c))) {
           Push(c, q);
           return;
         }
@@ -138,18 +137,18 @@ class JumpRunner {
         // and the merged posting cursor are hoisted out of the enumeration
         // loop: f_t steps pay amortized movement over the compressed lists
         // (block-skipping seeks), not |L| fresh front-searches.
-        const NodeId scope_end = doc_.BinaryEnd(c);
+        const NodeId scope_end = tree_.BinaryEnd(c);
         LabelIndex::SetCursor cursor(index_.labels(), info.essential);
         const size_t mark = stack_.size();
         for (NodeId m = cursor.First(c + 1, scope_end); m != kNullNode;
-             m = cursor.First(doc_.BinaryEnd(m), scope_end)) {
+             m = cursor.First(tree_.BinaryEnd(m), scope_end)) {
           Push(m, q);
         }
         std::reverse(stack_.begin() + mark, stack_.end());
         return;
       }
       case StateJumpInfo::kLeftPath: {
-        if (info.essential.Contains(doc_.label(c))) {
+        if (info.essential.Contains(tree_.label(c))) {
           Push(c, q);
           return;
         }
@@ -159,7 +158,7 @@ class JumpRunner {
         return;
       }
       case StateJumpInfo::kRightPath: {
-        if (info.essential.Contains(doc_.label(c))) {
+        if (info.essential.Contains(tree_.label(c))) {
           Push(c, q);
           return;
         }
@@ -182,14 +181,14 @@ class JumpRunner {
       stack_.clear();  // drain the work list; Run() reports the stop code
       return;
     }
-    if (sta_.Selects(q, doc_.label(n))) result_->selected.push_back(n);
-    auto [q1, q2] = sta_.Destination(q, doc_.label(n));
+    if (sta_.Selects(q, tree_.label(n))) result_->selected.push_back(n);
+    auto [q1, q2] = sta_.Destination(q, tree_.label(n));
     if (q1 == sink_ || q2 == sink_) {
       failed_ = true;
       return;
     }
-    NodeId left = doc_.Left(n);
-    NodeId right = doc_.Right(n);
+    NodeId left = tree_.BinaryLeft(n);
+    NodeId right = tree_.BinaryRight(n);
     // Push right first so the left subtree is processed first.
     if (right == kNullNode) {
       if (!sta_.IsBottom(q2)) failed_ = true;
@@ -205,7 +204,7 @@ class JumpRunner {
   }
 
   const Sta& sta_;
-  const TreeView& doc_;
+  const SuccinctTree& tree_;
   const TreeIndex& index_;
   JumpRunOptions options_;
   std::vector<StateJumpInfo> infos_;
@@ -218,18 +217,10 @@ class JumpRunner {
 
 }  // namespace
 
-JumpRunResult TopDownJumpRun(const Sta& sta, const Document& doc,
-                             const TreeIndex& index,
-                             const JumpRunOptions& options) {
-  PointerTreeView view{&doc};
-  return JumpRunner<PointerTreeView>(sta, view, index, options).Run();
-}
-
 JumpRunResult TopDownJumpRun(const Sta& sta, const SuccinctTree& tree,
                              const TreeIndex& index,
                              const JumpRunOptions& options) {
-  SuccinctTreeView view{&tree};
-  return JumpRunner<SuccinctTreeView>(sta, view, index, options).Run();
+  return JumpRunner(sta, tree, index, options).Run();
 }
 
 }  // namespace xpwqo

@@ -66,13 +66,8 @@ struct JumpRunResult {
 
 /// Runs Algorithm B.1. `sta` must be top-down deterministic and complete
 /// (minimality is what makes the visited set tight; correctness holds for
-/// any deterministic complete automaton).
-JumpRunResult TopDownJumpRun(const Sta& sta, const Document& doc,
-                             const TreeIndex& index,
-                             const JumpRunOptions& options = {});
-
-/// Same, over the succinct backend (`index` should be succinct-backed so
-/// the jump primitives resolve through the BP kernels).
+/// any deterministic complete automaton). `index` must be built over `tree`
+/// so the jump primitives resolve through the BP kernels.
 JumpRunResult TopDownJumpRun(const Sta& sta, const SuccinctTree& tree,
                              const TreeIndex& index,
                              const JumpRunOptions& options = {});

@@ -67,7 +67,7 @@ void SerializeRec(const XmlNodeSource& source, NodeId n, int depth,
   out->push_back('>');
 }
 
-/// The pointer backend through the generic view.
+/// A Document through the generic view.
 class DocumentSource final : public XmlNodeSource {
  public:
   explicit DocumentSource(const Document& doc) : doc_(doc) {}

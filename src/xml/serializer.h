@@ -17,11 +17,10 @@ struct XmlSerializeOptions {
   bool pretty = false;
 };
 
-/// Backend-neutral tree view the serializer walks. Node kinds follow the
-/// parser's label encoding ("@name" → attribute, "#text" → character data),
-/// so any backend that exposes names and values serializes without a
-/// pointer Document — the engine adapts the succinct tree plus its
-/// TextStore to this interface for image-opened collections.
+/// Tree view the serializer walks. Node kinds follow the parser's label
+/// encoding ("@name" → attribute, "#text" → character data), so any tree
+/// that exposes names and values serializes without a pointer Document —
+/// the engine adapts its succinct tree plus TextStore to this interface.
 class XmlNodeSource {
  public:
   virtual ~XmlNodeSource() = default;
@@ -38,7 +37,7 @@ std::string SerializeXml(const Document& doc,
                          const XmlSerializeOptions& options = {},
                          NodeId node = kNullNode);
 
-/// Serializes from any backend through the XmlNodeSource view.
+/// Serializes any tree through the XmlNodeSource view.
 std::string SerializeXml(const XmlNodeSource& source,
                          const XmlSerializeOptions& options = {},
                          NodeId node = kNullNode);

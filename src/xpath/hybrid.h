@@ -40,18 +40,12 @@ class HybridPlan {
   /// Builds a plan. Fails if the path shape is not hybrid-evaluable.
   static StatusOr<HybridPlan> Make(const Path& path, Alphabet* alphabet);
 
-  /// Runs the plan. Results are sorted and duplicate-free. With a non-null
-  /// `control`, the run stops early on deadline / cancellation / budget and
-  /// returns the corresponding error Status (kDeadlineExceeded /
-  /// kCancelled / kResourceExhausted).
-  StatusOr<std::vector<NodeId>> Run(const Document& doc,
-                                    const TreeIndex& index,
-                                    HybridStats* stats = nullptr,
-                                    const ExecControl* control = nullptr) const;
-
-  /// Same, over the succinct backend: the upward walk uses BP parent moves
-  /// and the downward suffix run uses the succinct jumping evaluator.
-  /// `index` should be succinct-backed.
+  /// Runs the plan over `tree` and its `index`: the upward walk uses BP
+  /// parent moves and the downward suffix run the jumping evaluator.
+  /// Results are sorted and duplicate-free. With a non-null `control`, the
+  /// run stops early on deadline / cancellation / budget and returns the
+  /// corresponding error Status (kDeadlineExceeded / kCancelled /
+  /// kResourceExhausted).
   StatusOr<std::vector<NodeId>> Run(const SuccinctTree& tree,
                                     const TreeIndex& index,
                                     HybridStats* stats = nullptr,
@@ -68,12 +62,6 @@ class HybridPlan {
 
  private:
   HybridPlan() = default;
-
-  template <typename TreeView>
-  StatusOr<std::vector<NodeId>> RunImpl(const TreeView& view,
-                                        const TreeIndex& index,
-                                        HybridStats* stats,
-                                        const ExecControl* control) const;
 
   std::vector<LabelId> labels_;  // one per step
   /// Suffix automata: suffix_astas_[p] covers steps p+1.. (empty Asta when
@@ -100,8 +88,6 @@ class HybridStream {
   /// `control` (optional) governs the pull: candidates charge the monitor
   /// and suffix evaluations run under the remaining budget. Must outlive
   /// the stream.
-  HybridStream(const HybridPlan& plan, const Document& doc,
-               const TreeIndex& index, const ExecControl* control = nullptr);
   HybridStream(const HybridPlan& plan, const SuccinctTree& tree,
                const TreeIndex& index, const ExecControl* control = nullptr);
   HybridStream(HybridStream&&) noexcept;
@@ -127,7 +113,7 @@ class HybridStream {
   /// emitted).
   StatusCode interrupt() const;
 
-  struct Impl;  // backend-templated implementations live in hybrid.cc
+  class Impl;  // defined in hybrid.cc
 
  private:
   std::unique_ptr<Impl> impl_;

@@ -62,9 +62,10 @@ TEST(AstaEvalTest, Example41SmallTree) {
   Document d = TreeOf("r(a(b(c),b(x)),b(c))");
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   for (const AstaEvalOptions& opts : kAllConfigs) {
-    TreeIndex index(d);
-    AstaEvalResult r = EvalAsta(asta, d, &index, opts);
+    AstaEvalResult r = EvalAsta(asta, tree, &index, opts);
     EXPECT_TRUE(r.accepted);
     EXPECT_EQ(r.nodes, (std::vector<NodeId>{2}))
         << "jump=" << opts.jumping << " memo=" << opts.memoize;
@@ -75,8 +76,9 @@ TEST(AstaEvalTest, SelectionRequiresAAncestorAndCChild) {
   Document d = TreeOf("r(b(c),a(b),a(b(c,c)))");
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
-  TreeIndex index(d);
-  AstaEvalResult r = EvalAsta(asta, d, &index, kOpt);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  AstaEvalResult r = EvalAsta(asta, tree, &index, kOpt);
   EXPECT_EQ(r.nodes, XmlOracleABC(d, ids));
   ASSERT_EQ(r.nodes.size(), 1u);
 }
@@ -88,8 +90,9 @@ TEST(AstaEvalTest, AcceptanceTracksNonEmptyMatch) {
   Document no_match = TreeOf("r(x,y)");
   DocIds ids = IdsOf(no_match);
   Asta asta = AstaForDescADescB(ids.a, ids.b);
-  TreeIndex index(no_match);
-  AstaEvalResult r = EvalAsta(asta, no_match, &index, kOpt);
+  SuccinctTree tree(no_match);
+  TreeIndex index(tree);
+  AstaEvalResult r = EvalAsta(asta, tree, &index, kOpt);
   EXPECT_FALSE(r.accepted);
   EXPECT_TRUE(r.nodes.empty());
   EXPECT_EQ(r.accepted, testing_util::AstaOracleAccepts(asta, no_match));
@@ -97,8 +100,9 @@ TEST(AstaEvalTest, AcceptanceTracksNonEmptyMatch) {
   Document match = TreeOf("r(a(b),y)");
   DocIds ids2 = IdsOf(match);
   Asta asta2 = AstaForDescADescB(ids2.a, ids2.b);
-  TreeIndex index2(match);
-  AstaEvalResult r2 = EvalAsta(asta2, match, &index2, kOpt);
+  SuccinctTree tree2(match);
+  TreeIndex index2(tree2);
+  AstaEvalResult r2 = EvalAsta(asta2, tree2, &index2, kOpt);
   EXPECT_TRUE(r2.accepted);
   EXPECT_EQ(r2.nodes.size(), 1u);
 }
@@ -108,7 +112,8 @@ class AstaEvalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(AstaEvalPropertyTest, AllConfigurationsAgreeWithOracle) {
   Document d = RandomTree(GetParam(), {.num_nodes = 180, .num_labels = 3});
   DocIds ids = IdsOf(d);
-  TreeIndex index(d);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   std::vector<Asta> automata;
   automata.push_back(AstaForDescADescB(ids.a, ids.b));
   automata.push_back(AstaForDescADescBWithC(ids.a, ids.b, ids.c));
@@ -118,7 +123,7 @@ TEST_P(AstaEvalPropertyTest, AllConfigurationsAgreeWithOracle) {
     std::vector<NodeId> expect = AstaOracleSelect(asta, d);
     bool expect_accept = AstaOracleAccepts(asta, d);
     for (const AstaEvalOptions& opts : kAllConfigs) {
-      AstaEvalResult r = EvalAsta(asta, d, &index, opts);
+      AstaEvalResult r = EvalAsta(asta, tree, &index, opts);
       ASSERT_EQ(r.accepted, expect_accept);
       ASSERT_EQ(r.nodes, expect)
           << "jump=" << opts.jumping << " memo=" << opts.memoize
@@ -131,22 +136,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AstaEvalPropertyTest,
                          ::testing::Range<uint64_t>(1, 26));
 
 TEST(AstaEvalTest, SuccinctBackendAgrees) {
+  // The evaluator over the succinct tree against the brute-force oracle,
+  // which reads the pointer Document the tree was built from.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Document d = RandomTree(seed, {.num_nodes = 150, .num_labels = 3});
     DocIds ids = IdsOf(d);
     Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
-    TreeIndex index(d);
     SuccinctTree tree(d);
-    TreeIndex succinct_index(tree);
-    AstaEvalResult pointer = EvalAsta(asta, d, &index, kOpt);
-    AstaEvalResult succinct = EvalAstaSuccinct(asta, tree, nullptr, kMemoOnly);
-    EXPECT_EQ(pointer.nodes, succinct.nodes);
-    EXPECT_EQ(pointer.accepted, succinct.accepted);
-    // The succinct backend with a succinct-backed index jumps too.
-    AstaEvalResult jumping =
-        EvalAstaSuccinct(asta, tree, &succinct_index, kOpt);
-    EXPECT_EQ(pointer.nodes, jumping.nodes);
-    EXPECT_EQ(pointer.accepted, jumping.accepted);
+    TreeIndex index(tree);
+    const std::vector<NodeId> expect = AstaOracleSelect(asta, d);
+    const bool expect_accept = AstaOracleAccepts(asta, d);
+    AstaEvalResult stepping = EvalAsta(asta, tree, nullptr, kMemoOnly);
+    EXPECT_EQ(stepping.nodes, expect);
+    EXPECT_EQ(stepping.accepted, expect_accept);
+    AstaEvalResult jumping = EvalAsta(asta, tree, &index, kOpt);
+    EXPECT_EQ(jumping.nodes, expect);
+    EXPECT_EQ(jumping.accepted, expect_accept);
   }
 }
 
@@ -158,9 +163,10 @@ TEST(AstaEvalTest, JumpingVisitsFarFewerNodes) {
   Document d = TreeOf(spec);
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
-  TreeIndex index(d);
-  AstaEvalResult naive = EvalAsta(asta, d, nullptr, kNaive);
-  AstaEvalResult jump = EvalAsta(asta, d, &index, kOpt);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  AstaEvalResult naive = EvalAsta(asta, tree, nullptr, kNaive);
+  AstaEvalResult jump = EvalAsta(asta, tree, &index, kOpt);
   EXPECT_EQ(naive.nodes, jump.nodes);
   EXPECT_EQ(jump.nodes.size(), 2u);
   // The naive run must touch the full document; the jumping run only the
@@ -174,8 +180,9 @@ TEST(AstaEvalTest, MemoizationAmortizesLookups) {
   Document d = RandomTree(7, {.num_nodes = 5000, .num_labels = 3});
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescB(ids.a, ids.b);
-  TreeIndex index(d);
-  AstaEvalResult memo = EvalAsta(asta, d, &index, kMemoOnly);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  AstaEvalResult memo = EvalAsta(asta, tree, &index, kMemoOnly);
   // Far fewer memo entries than visited nodes: the |Q| factor is amortized.
   EXPECT_GT(memo.stats.nodes_visited, 1000);
   EXPECT_LT(memo.stats.memo_step_entries + memo.stats.memo_eval_entries,
@@ -217,8 +224,9 @@ TEST(AstaEvalTest, InfoPropagationChecksOneWitness) {
   AstaEvalOptions with = kNaive;
   with.info_propagation = true;
   AstaEvalOptions without = kNaive;
-  AstaEvalResult r_with = EvalAsta(asta, d, nullptr, with);
-  AstaEvalResult r_without = EvalAsta(asta, d, nullptr, without);
+  SuccinctTree tree(d);
+  AstaEvalResult r_with = EvalAsta(asta, tree, nullptr, with);
+  AstaEvalResult r_without = EvalAsta(asta, tree, nullptr, without);
   EXPECT_EQ(r_with.nodes, r_without.nodes);
   ASSERT_EQ(r_with.nodes.size(), 1u);
   // One-witness semantics: the y-forest is never entered.
@@ -231,8 +239,9 @@ TEST(AstaEvalTest, Example41StatsMatchPaperIntuition) {
   Document d = TreeOf("r(x(x),a(x(b(c)),b(c)),x)");
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
-  TreeIndex index(d);
-  AstaEvalResult r = EvalAsta(asta, d, &index, kOpt);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  AstaEvalResult r = EvalAsta(asta, tree, &index, kOpt);
   EXPECT_EQ(r.nodes.size(), 2u);
   // Visited: the a, the two b's, and the c's checked below them — none of
   // the x's except where stepping was required.
@@ -258,7 +267,8 @@ TEST(AstaEvalTest, EmptyMaskSkipsSubtreesEvenWithoutJumping) {
   asta.AddTransition(qs, LabelSet::Of({s_label}), true, f.True());
   asta.AddTransition(qs, LabelSet::All(), false, f.Down(2, qs));
   asta.Finalize();
-  AstaEvalResult r = EvalAsta(asta, d, nullptr, kNaive);
+  SuccinctTree tree(d);
+  AstaEvalResult r = EvalAsta(asta, tree, nullptr, kNaive);
   EXPECT_TRUE(r.accepted);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_EQ(d.LabelName(r.nodes[0]), "s");
@@ -293,8 +303,9 @@ TEST(AstaEvalTest, ExampleC1Semantics) {
   LabelId b = d.alphabet().Find("b");
   LabelId c = d.alphabet().Find("c");
   Asta asta = AstaForConjunctionOfDisjunctions(x, {a, b, c, b});
-  TreeIndex index(d);
-  AstaEvalResult r = EvalAsta(asta, d, &index, kOpt);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  AstaEvalResult r = EvalAsta(asta, tree, &index, kOpt);
   // x1(a,c): (a|b) yes, (c|b) yes -> selected. x4(a): second conjunct fails.
   // x6(b): both conjuncts satisfied by b. x8(c): first conjunct fails.
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{1, 6}));

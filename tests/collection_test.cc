@@ -39,8 +39,8 @@ TEST(CollectionTest, SharedAlphabetSpansDocumentsAndBackends) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->alphabet_ptr(), library.alphabet_ptr());
   EXPECT_EQ(b->alphabet_ptr(), library.alphabet_ptr());
-  EXPECT_EQ(a->backend(), TreeBackend::kPointer);
-  EXPECT_EQ(b->backend(), TreeBackend::kSuccinct);
+  EXPECT_TRUE(a->has_document());
+  EXPECT_FALSE(b->has_document());
   // One interning of "book" across both documents.
   EXPECT_NE(library.alphabet_ptr()->Find("book"), kNoLabel);
 

@@ -68,12 +68,13 @@ TEST(CompileStaTest, AgreesWithBaselineOnRandomTrees) {
 TEST(CompileStaTest, MinimizedAutomataDriveJumpingRuns) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     Document d = RandomTree(seed, {.num_nodes = 200, .num_labels = 3});
-    TreeIndex index(d);
+    SuccinctTree tree(d);
+    TreeIndex index(tree);
     for (const char* q : {"//a//b", "/r/a/b", "/r/a//c"}) {
       auto sta = CompileToTdsta(MustParse(q), d.alphabet_ptr().get());
       ASSERT_TRUE(sta.ok());
       Sta min = MinimizeTopDown(*sta);
-      JumpRunResult jump = TopDownJumpRun(min, d, index);
+      JumpRunResult jump = TopDownJumpRun(min, tree, index);
       auto expect = EvalNodeSetBaseline(q, d);
       ASSERT_TRUE(expect.ok());
       ASSERT_TRUE(jump.accepting);
@@ -97,11 +98,12 @@ TEST(CompileStaTest, JumpVisitsFractionOnSparseMatches) {
   for (int i = 0; i < 300; ++i) spec += "x(x),";
   spec += "a(b))";
   Document d = TreeOf(spec);
-  TreeIndex index(d);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   auto sta = CompileToTdsta(MustParse("//a//b"), d.alphabet_ptr().get());
   ASSERT_TRUE(sta.ok());
   Sta min = MinimizeTopDown(*sta);
-  JumpRunResult jump = TopDownJumpRun(min, d, index);
+  JumpRunResult jump = TopDownJumpRun(min, tree, index);
   ASSERT_TRUE(jump.accepting);
   EXPECT_EQ(jump.selected.size(), 1u);
   EXPECT_LT(jump.stats.nodes_visited, 10);

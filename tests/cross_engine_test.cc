@@ -1,13 +1,14 @@
 // Cross-engine stress test: randomized queries of the full supported
 // fragment over randomized documents, evaluated by every engine in the
-// repository. All engines must agree with the step-wise node-set baseline:
+// repository. All engines must agree with the step-wise node-set baseline,
+// which reads the pointer Document; every other engine runs over the
+// succinct tree built from it:
 //  - the ASTA evaluator in all four Figure 4 configurations (+ info-prop),
-//  - the succinct-tree backend,
 //  - the hybrid strategy (when applicable),
 //  - minimal TDSTAs with full and jumping runs (when compilable),
-//  - the ResultCursor over every strategy on both backends, fully drained
-//    and truncated (the streaming early-termination paths must emit exactly
-//    a document-order prefix of the classic run).
+//  - the ResultCursor over every strategy, fully drained, truncated and
+//    sought (the streaming early-termination paths must emit exactly a
+//    document-order prefix of the classic run).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,27 +36,25 @@ using testing_util::QueryGenOptions;
 using testing_util::RandomQuery;
 using testing_util::RandomTree;
 
-/// Cursor-vs-Run parity over one backend context: the full drain must equal
-/// the classic result and a truncated drain must be its document-order
-/// prefix, for every strategy the context supports.
+/// Cursor-vs-Run parity: the full drain must equal the classic result, a
+/// truncated drain must be its document-order prefix, and SeekGe must land
+/// on the target, for every strategy.
 void CheckCursors(const internal::CursorContext& ctx,
                   const PreparedQuery& query,
-                  const std::vector<NodeId>& expect, const char* backend) {
+                  const std::vector<NodeId>& expect) {
   const EvalStrategy strategies[] = {
       EvalStrategy::kNaive,     EvalStrategy::kJumping,
       EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
       EvalStrategy::kHybrid,    EvalStrategy::kBaseline,
   };
   for (EvalStrategy s : strategies) {
-    if (s == EvalStrategy::kBaseline && ctx.doc == nullptr) continue;
     QueryOptions opts;
     opts.strategy = s;
     auto full_impl = internal::MakeCursorImpl(ctx, query, opts,
                                               /*allow_streaming=*/true);
-    ASSERT_TRUE(full_impl.ok()) << backend << " " << EvalStrategyName(s);
+    ASSERT_TRUE(full_impl.ok()) << EvalStrategyName(s);
     ResultCursor full(std::move(*full_impl));
-    ASSERT_EQ(full.Drain(), expect)
-        << backend << " cursor " << EvalStrategyName(s);
+    ASSERT_EQ(full.Drain(), expect) << "cursor " << EvalStrategyName(s);
 
     const size_t k = std::min<size_t>(3, expect.size() + 1);
     auto head_impl = internal::MakeCursorImpl(ctx, query, opts,
@@ -65,7 +64,7 @@ void CheckCursors(const internal::CursorContext& ctx,
     std::vector<NodeId> first = head.Drain(k);
     ASSERT_EQ(first.size(), std::min(k, expect.size()));
     ASSERT_TRUE(std::equal(first.begin(), first.end(), expect.begin()))
-        << backend << " truncated cursor " << EvalStrategyName(s);
+        << "truncated cursor " << EvalStrategyName(s);
 
     if (!expect.empty()) {
       const NodeId target = expect[expect.size() / 2];
@@ -74,7 +73,7 @@ void CheckCursors(const internal::CursorContext& ctx,
       ASSERT_TRUE(seek_impl.ok());
       ResultCursor seek(std::move(*seek_impl));
       ASSERT_EQ(seek.SeekGe(target), target)
-          << backend << " SeekGe " << EvalStrategyName(s);
+          << "SeekGe " << EvalStrategyName(s);
     }
   }
 }
@@ -88,36 +87,26 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
 
   auto asta = CompileToAsta(*path, doc.alphabet_ptr().get());
   ASSERT_TRUE(asta.ok()) << asta.status();
-  TreeIndex index(doc);
+  SuccinctTree tree(doc);
+  TreeIndex index(tree);
   const AstaEvalOptions configs[] = {
       {false, false, false}, {true, false, false}, {false, true, false},
       {true, true, true},    {true, true, false},  {false, false, true},
   };
-  SuccinctTree tree(doc);
-  TreeIndex succinct_index(tree);
   for (const AstaEvalOptions& opts : configs) {
-    AstaEvalResult r = EvalAsta(*asta, doc, &index, opts);
+    AstaEvalResult r =
+        EvalAsta(*asta, tree, opts.jumping ? &index : nullptr, opts);
     ASSERT_EQ(r.nodes, *expect)
         << "asta jump=" << opts.jumping << " memo=" << opts.memoize
-        << " infoprop=" << opts.info_propagation;
-    // Every configuration — including the jumping ones — must agree on the
-    // succinct backend through the succinct-backed TreeIndex.
-    AstaEvalResult s = EvalAstaSuccinct(
-        *asta, tree, opts.jumping ? &succinct_index : nullptr, opts);
-    ASSERT_EQ(s.nodes, *expect)
-        << "succinct jump=" << opts.jumping << " memo=" << opts.memoize
         << " infoprop=" << opts.info_propagation;
   }
 
   if (IsHybridEvaluable(*path)) {
     auto plan = HybridPlan::Make(*path, doc.alphabet_ptr().get());
     ASSERT_TRUE(plan.ok());
-    auto hybrid = plan->Run(doc, index);
+    auto hybrid = plan->Run(tree, index);
     ASSERT_TRUE(hybrid.ok());
     ASSERT_EQ(*hybrid, *expect) << "hybrid";
-    auto succinct_hybrid = plan->Run(tree, succinct_index);
-    ASSERT_TRUE(succinct_hybrid.ok());
-    ASSERT_EQ(*succinct_hybrid, *expect) << "succinct hybrid";
   }
 
   if (IsTdstaCompilable(*path)) {
@@ -126,16 +115,14 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
     StaRunResult full = TopDownRun(*sta, doc);
     ASSERT_EQ(full.selected, *expect) << "tdsta full run";
     Sta minimal = MinimizeTopDown(*sta);
-    JumpRunResult jump = TopDownJumpRun(minimal, doc, index);
+    JumpRunResult jump = TopDownJumpRun(minimal, tree, index);
     ASSERT_EQ(jump.selected, *expect) << "tdsta jumping run";
-    JumpRunResult sjump = TopDownJumpRun(minimal, tree, succinct_index);
-    ASSERT_EQ(sjump.selected, *expect) << "tdsta succinct jumping run";
     if (jump.accepting) {
       // LIMIT-k truncation: the early-stopped run must agree with the full
       // run's document-order prefix (meaningful on accepting runs only).
       JumpRunOptions limit;
       limit.max_selected = 2;
-      JumpRunResult head = TopDownJumpRun(minimal, doc, index, limit);
+      JumpRunResult head = TopDownJumpRun(minimal, tree, index, limit);
       ASSERT_EQ(head.selected.size(), std::min<size_t>(2, expect->size()));
       ASSERT_TRUE(std::equal(head.selected.begin(), head.selected.end(),
                              expect->begin()))
@@ -143,13 +130,12 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
     }
   }
 
-  // The serving surface: cursors over every strategy, on both backends.
+  // The serving surface: cursors over every strategy; the context carries
+  // the Document too, so kBaseline runs as well.
   auto prepared = PreparedQuery::Prepare(query, doc.alphabet_ptr());
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  internal::CursorContext pointer_ctx{&doc, nullptr, &index};
-  internal::CursorContext succinct_ctx{nullptr, &tree, &succinct_index};
-  CheckCursors(pointer_ctx, *prepared, *expect, "pointer");
-  CheckCursors(succinct_ctx, *prepared, *expect, "succinct");
+  internal::CursorContext ctx{&tree, &index, nullptr, &doc};
+  CheckCursors(ctx, *prepared, *expect);
 }
 
 class CrossEngineRandomTest : public ::testing::TestWithParam<uint64_t> {};
@@ -173,8 +159,8 @@ class CrossEngineJumpHeavyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CrossEngineJumpHeavyTest, DescendantHeavyQueries) {
   // Descendant-dominated queries over label-skewed documents: nearly every
   // step compiles to a looping state, so the jumping evaluators spend the
-  // run inside the label-index enumeration (the path the succinct-backed
-  // TreeIndex has to get right).
+  // run inside the label-index enumeration (the path the TreeIndex's BP
+  // navigation has to get right).
   uint64_t seed = GetParam();
   Document doc = RandomTree(seed * 131 + 7,
                             {.num_nodes = 200 + 60 * (seed % 4),

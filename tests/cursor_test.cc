@@ -14,11 +14,13 @@
 #include "test_util.h"
 #include "xmark/generator.h"
 #include "xmark/workload.h"
+#include "xml/serializer.h"
 
 namespace xpwqo {
 namespace {
 
-const Engine& PointerEngine() {
+/// Keeps the Document, so it answers kBaseline too.
+const Engine& DocumentEngine() {
   static Engine* engine = [] {
     XMarkOptions opt;
     opt.scale = 0.004;
@@ -27,12 +29,14 @@ const Engine& PointerEngine() {
   return *engine;
 }
 
-const Engine& SuccinctEngine() {
+/// The same document streamed straight into the index, as serving loads.
+const Engine& StreamedEngine() {
   static Engine* engine = [] {
     XMarkOptions opt;
     opt.scale = 0.004;
-    return new Engine(Engine::FromDocument(GenerateXMark(opt),
-                                           TreeBackend::kSuccinct));
+    auto loaded = Engine::FromXmlString(SerializeXml(GenerateXMark(opt)),
+                                        {.backend = TreeBackend::kSuccinct});
+    return new Engine(std::move(loaded).value());
   }();
   return *engine;
 }
@@ -44,7 +48,7 @@ constexpr EvalStrategy kAllStrategies[] = {
 };
 
 TEST(ResultCursorTest, DrainMatchesRunOnEveryStrategyAndBackend) {
-  for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
+  for (const Engine* engine : {&DocumentEngine(), &StreamedEngine()}) {
     for (const WorkloadQuery& wq : Figure2Workload()) {
       auto query = engine->Compile(wq.xpath);
       ASSERT_TRUE(query.ok()) << wq.id;
@@ -58,14 +62,14 @@ TEST(ResultCursorTest, DrainMatchesRunOnEveryStrategyAndBackend) {
         ASSERT_TRUE(cursor.ok()) << wq.id << " " << EvalStrategyName(s);
         EXPECT_EQ(cursor->Drain(), run->nodes)
             << wq.id << " " << EvalStrategyName(s) << " "
-            << TreeBackendName(engine->backend());
+            << (engine->has_document() ? "document" : "streamed");
       }
     }
   }
 }
 
 TEST(ResultCursorTest, LimitKIsAPrefixOfTheFullRun) {
-  for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
+  for (const Engine* engine : {&DocumentEngine(), &StreamedEngine()}) {
     for (const char* xpath :
          {"//listitem//keyword", "//keyword", "/site//keyword",
           "//listitem[.//keyword]//emph"}) {
@@ -90,7 +94,7 @@ TEST(ResultCursorTest, StreamingLimitVisitsLessThanFullRun) {
   // The acceptance property of the serving API: LIMIT-1 over a
   // jump-friendly query drives a small fraction of the document, with the
   // visit counters scaling in k.
-  const Engine& engine = SuccinctEngine();
+  const Engine& engine = StreamedEngine();
   auto query = engine.Compile("//listitem//keyword");
   ASSERT_TRUE(query.ok());
   ASSERT_TRUE(query->streamable());
@@ -114,7 +118,7 @@ TEST(ResultCursorTest, StreamingLimitVisitsLessThanFullRun) {
 }
 
 TEST(ResultCursorTest, HybridCursorStreams) {
-  for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
+  for (const Engine* engine : {&DocumentEngine(), &StreamedEngine()}) {
     auto query = engine->Compile("//listitem//keyword");
     ASSERT_TRUE(query.ok());
     ASSERT_NE(query->hybrid(), nullptr);
@@ -139,7 +143,7 @@ TEST(ResultCursorTest, HybridCursorStreams) {
 }
 
 TEST(ResultCursorTest, SeekGeSkipsForward) {
-  for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
+  for (const Engine* engine : {&DocumentEngine(), &StreamedEngine()}) {
     for (EvalStrategy s :
          {EvalStrategy::kOptimized, EvalStrategy::kHybrid,
           EvalStrategy::kNaive, EvalStrategy::kBaseline}) {
@@ -199,13 +203,13 @@ TEST(ResultCursorTest, QueryFromForeignAlphabetIsRejected) {
   auto other = std::make_shared<Alphabet>();
   auto query = PreparedQuery::Prepare("//keyword", other);
   ASSERT_TRUE(query.ok());
-  EXPECT_FALSE(PointerEngine().Run(*query).ok());
-  EXPECT_FALSE(PointerEngine().OpenCursor(*query).ok());
+  EXPECT_FALSE(DocumentEngine().Run(*query).ok());
+  EXPECT_FALSE(DocumentEngine().OpenCursor(*query).ok());
 }
 
 TEST(ResultCursorTest, BaselineRequiresPointerDocument) {
   auto engine = Engine::FromXmlString("<a><b/><b/></a>",
-                                      TreeBackend::kSuccinct);
+                                      {.backend = TreeBackend::kSuccinct});
   ASSERT_TRUE(engine.ok());
   ASSERT_FALSE(engine->has_document());
   QueryOptions opts;
@@ -219,7 +223,7 @@ TEST(ResultCursorTest, BaselineRequiresPointerDocument) {
 }
 
 TEST(ResultCursorTest, EmptyResultCursorsExhaustImmediately) {
-  for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
+  for (const Engine* engine : {&DocumentEngine(), &StreamedEngine()}) {
     auto cursor = engine->OpenCursor("//no_such_label//keyword");
     ASSERT_TRUE(cursor.ok());
     EXPECT_EQ(cursor->Next(), kNullNode);
@@ -229,7 +233,7 @@ TEST(ResultCursorTest, EmptyResultCursorsExhaustImmediately) {
 }
 
 TEST(PreparedQueryTest, ExposesEveryCompiledPlan) {
-  auto& engine = PointerEngine();
+  auto& engine = DocumentEngine();
   auto chain = engine.Compile("//listitem//keyword");
   ASSERT_TRUE(chain.ok());
   EXPECT_NE(chain->hybrid(), nullptr);
@@ -245,21 +249,20 @@ TEST(PreparedQueryTest, ExposesEveryCompiledPlan) {
 }
 
 TEST(PreparedQueryTest, MinimalTdstaDrivesTruncatedJumpRuns) {
-  const Engine& engine = PointerEngine();
+  const Engine& engine = DocumentEngine();
   auto query = engine.Compile("//listitem//keyword");
   ASSERT_TRUE(query.ok());
   ASSERT_NE(query->tdsta(), nullptr);
   auto full = engine.Run(*query);
   ASSERT_TRUE(full.ok());
   JumpRunResult all =
-      TopDownJumpRun(*query->tdsta(), engine.document(), engine.index());
+      TopDownJumpRun(*query->tdsta(), engine.tree(), engine.index());
   ASSERT_TRUE(all.accepting);
   EXPECT_EQ(all.selected, full->nodes);
   JumpRunOptions limit;
   limit.max_selected = 5;
   JumpRunResult first =
-      TopDownJumpRun(*query->tdsta(), engine.document(), engine.index(),
-                     limit);
+      TopDownJumpRun(*query->tdsta(), engine.tree(), engine.index(), limit);
   ASSERT_EQ(first.selected.size(),
             std::min<size_t>(5, full->nodes.size()));
   EXPECT_TRUE(std::equal(first.selected.begin(), first.selected.end(),
@@ -271,15 +274,15 @@ TEST(PreparedQueryTest, MinimalTdstaDrivesTruncatedJumpRuns) {
 TEST(PreparedQueryTest, SharedAcrossTwoThreads) {
   // Const-thread-safety smoke test (run under ASan/TSan-less CI, but the
   // sanitizer pass in scripts/check.sh executes it under ASan+UBSan): one
-  // PreparedQuery, two threads, both backends, many runs each.
-  auto query = PointerEngine().Compile("//listitem//keyword");
+  // PreparedQuery, two threads, both engines, many runs each.
+  auto query = DocumentEngine().Compile("//listitem//keyword");
   ASSERT_TRUE(query.ok());
-  auto expect_pointer = PointerEngine().Run(*query);
-  ASSERT_TRUE(expect_pointer.ok());
-  auto query_succinct = SuccinctEngine().Compile("//listitem//keyword");
-  ASSERT_TRUE(query_succinct.ok());
-  auto expect_succinct = SuccinctEngine().Run(*query_succinct);
-  ASSERT_TRUE(expect_succinct.ok());
+  auto expect_document = DocumentEngine().Run(*query);
+  ASSERT_TRUE(expect_document.ok());
+  auto query_streamed = StreamedEngine().Compile("//listitem//keyword");
+  ASSERT_TRUE(query_streamed.ok());
+  auto expect_streamed = StreamedEngine().Run(*query_streamed);
+  ASSERT_TRUE(expect_streamed.ok());
 
   auto worker = [](const Engine& engine, const PreparedQuery& q,
                    const std::vector<NodeId>& expect, bool* ok) {
@@ -293,13 +296,13 @@ TEST(PreparedQueryTest, SharedAcrossTwoThreads) {
     }
   };
   bool ok1 = false, ok2 = false, ok3 = false;
-  std::thread t1(worker, std::cref(PointerEngine()), std::cref(*query),
-                 std::cref(expect_pointer->nodes), &ok1);
-  std::thread t2(worker, std::cref(PointerEngine()), std::cref(*query),
-                 std::cref(expect_pointer->nodes), &ok2);
-  std::thread t3(worker, std::cref(SuccinctEngine()),
-                 std::cref(*query_succinct),
-                 std::cref(expect_succinct->nodes), &ok3);
+  std::thread t1(worker, std::cref(DocumentEngine()), std::cref(*query),
+                 std::cref(expect_document->nodes), &ok1);
+  std::thread t2(worker, std::cref(DocumentEngine()), std::cref(*query),
+                 std::cref(expect_document->nodes), &ok2);
+  std::thread t3(worker, std::cref(StreamedEngine()),
+                 std::cref(*query_streamed),
+                 std::cref(expect_streamed->nodes), &ok3);
   t1.join();
   t2.join();
   t3.join();

@@ -4,6 +4,7 @@
 
 #include "xmark/generator.h"
 #include "xmark/workload.h"
+#include "xml/serializer.h"
 
 namespace xpwqo {
 namespace {
@@ -96,32 +97,37 @@ TEST(EngineTest, FromDocumentWorks) {
   auto r = engine.Run("/site/regions/europe/item");
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->nodes.size(), 0u);
-  EXPECT_EQ(engine.backend(), TreeBackend::kPointer);
-  EXPECT_EQ(engine.succinct_tree(), nullptr);
+  EXPECT_TRUE(engine.has_document());
+  EXPECT_EQ(engine.num_nodes(), engine.document().num_nodes());
+  EXPECT_NE(engine.text_store(), nullptr);
 }
 
 TEST(EngineTest, SuccinctBackendAgreesOnEveryStrategy) {
+  // A streamed load, which keeps no Document, against the baseline on a
+  // Document-keeping load of the same XML.
   XMarkOptions opt;
   opt.scale = 0.002;
   Document doc = GenerateXMark(opt);
-  Engine pointer = Engine::FromDocument(doc);
-  Engine succinct = Engine::FromDocument(std::move(doc),
-                                         TreeBackend::kSuccinct);
-  EXPECT_EQ(succinct.backend(), TreeBackend::kSuccinct);
-  ASSERT_NE(succinct.succinct_tree(), nullptr);
-  ASSERT_NE(succinct.index().succinct(), nullptr);
+  auto succinct = Engine::FromXmlString(SerializeXml(doc),
+                                        {.backend = TreeBackend::kSuccinct});
+  ASSERT_TRUE(succinct.ok()) << succinct.status();
+  EXPECT_FALSE(succinct->has_document());
+  Engine pointer = Engine::FromDocument(std::move(doc));
+  ASSERT_EQ(succinct->num_nodes(), pointer.num_nodes());
   const EvalStrategy strategies[] = {
       EvalStrategy::kNaive,     EvalStrategy::kJumping,
       EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
-      EvalStrategy::kHybrid,    EvalStrategy::kBaseline,
+      EvalStrategy::kHybrid,
   };
+  QueryOptions baseline;
+  baseline.strategy = EvalStrategy::kBaseline;
   for (const WorkloadQuery& wq : Figure2Workload()) {
-    auto expect = pointer.Run(wq.xpath);
+    auto expect = pointer.Run(wq.xpath, baseline);
     ASSERT_TRUE(expect.ok()) << wq.id;
     for (EvalStrategy s : strategies) {
       QueryOptions opts;
       opts.strategy = s;
-      auto r = succinct.Run(wq.xpath, opts);
+      auto r = succinct->Run(wq.xpath, opts);
       ASSERT_TRUE(r.ok()) << wq.id << " " << EvalStrategyName(s);
       EXPECT_EQ(r->nodes, expect->nodes)
           << wq.id << " " << EvalStrategyName(s);

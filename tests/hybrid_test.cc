@@ -32,8 +32,9 @@ TEST(HybridTest, AgreesWithBaselineOnSmallTrees) {
   auto plan = HybridPlan::Make(MustParse("//li//kw//em"),
                                d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok()) << plan.status();
-  TreeIndex index(d);
-  auto got = plan->Run(d, index);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  auto got = plan->Run(tree, index);
   ASSERT_TRUE(got.ok());
   auto expect = EvalNodeSetBaseline("//li//kw//em", d);
   ASSERT_TRUE(expect.ok());
@@ -46,8 +47,9 @@ TEST(HybridTest, NestedPivotsDeduplicate) {
   auto plan =
       HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok());
-  TreeIndex index(d);
-  auto got = plan->Run(d, index);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  auto got = plan->Run(tree, index);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (std::vector<NodeId>{4}));
 }
@@ -61,9 +63,10 @@ TEST(HybridTest, PivotSelectionPicksRarestLabel) {
   auto plan =
       HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok());
-  TreeIndex index(d);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   HybridStats stats;
-  auto got = plan->Run(d, index, &stats);
+  auto got = plan->Run(tree, index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 1);
   EXPECT_EQ(stats.pivot_count, 1);
@@ -84,9 +87,10 @@ TEST(HybridTest, LastLabelPivotIsPureBottomUp) {
   auto plan =
       HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok());
-  TreeIndex index(d);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   HybridStats stats;
-  auto got = plan->Run(d, index, &stats);
+  auto got = plan->Run(tree, index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 2);
   ASSERT_EQ(got->size(), 1u);
@@ -103,9 +107,10 @@ TEST(HybridTest, FirstLabelPivotFallsBackToRegular) {
   auto plan =
       HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok());
-  TreeIndex index(d);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   HybridStats stats;
-  auto got = plan->Run(d, index, &stats);
+  auto got = plan->Run(tree, index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 0);
   EXPECT_EQ(*got, (std::vector<NodeId>{3}));
@@ -115,8 +120,9 @@ TEST(HybridTest, SingleStepQuery) {
   Document d = TreeOf("r(a,b(a))");
   auto plan = HybridPlan::Make(MustParse("//a"), d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok());
-  TreeIndex index(d);
-  auto got = plan->Run(d, index);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  auto got = plan->Run(tree, index);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (std::vector<NodeId>{1, 3}));
 }
@@ -124,11 +130,12 @@ TEST(HybridTest, SingleStepQuery) {
 TEST(HybridTest, RandomTreesAgreeWithBaseline) {
   for (uint64_t seed = 1; seed <= 15; ++seed) {
     Document d = RandomTree(seed, {.num_nodes = 200, .num_labels = 3});
-    TreeIndex index(d);
+    SuccinctTree tree(d);
+    TreeIndex index(tree);
     for (const char* q : {"//a//b", "//a//b//c", "//c//a"}) {
       auto plan = HybridPlan::Make(MustParse(q), d.alphabet_ptr().get());
       ASSERT_TRUE(plan.ok());
-      auto got = plan->Run(d, index);
+      auto got = plan->Run(tree, index);
       ASSERT_TRUE(got.ok());
       auto expect = EvalNodeSetBaseline(q, d);
       ASSERT_TRUE(expect.ok());
@@ -141,12 +148,13 @@ TEST(HybridTest, Figure5ConfigurationsSelectExpectedCounts) {
   for (Fig5Config config : {Fig5Config::kA, Fig5Config::kB, Fig5Config::kC,
                             Fig5Config::kD}) {
     Document d = BuildFig5Config(config);
-    TreeIndex index(d);
+    SuccinctTree tree(d);
+    TreeIndex index(tree);
     auto plan = HybridPlan::Make(MustParse("//listitem//keyword//emph"),
                                  d.alphabet_ptr().get());
     ASSERT_TRUE(plan.ok());
     HybridStats stats;
-    auto got = plan->Run(d, index, &stats);
+    auto got = plan->Run(tree, index, &stats);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(static_cast<int>(got->size()), Fig5ExpectedSelected(config))
         << Fig5ConfigName(config);

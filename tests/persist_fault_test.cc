@@ -54,7 +54,8 @@ class PersistFaultTest : public ::testing::Test {
              std::to_string(i % 7) + "</name></item>";
     }
     xml += "</root>";
-    auto engine = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+    auto engine =
+        Engine::FromXmlString(xml, {.backend = TreeBackend::kSuccinct});
     ASSERT_TRUE(engine.ok()) << engine.status();
     image_ = SerializeIndexImage(*engine);
     auto checked = ValidateIndexImage(

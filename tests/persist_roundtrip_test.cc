@@ -38,8 +38,11 @@ std::string FreshDir(const char* tag) {
   return dir;
 }
 
-/// Strategies an image-opened (succinct-backend) engine supports: all but
-/// kBaseline, which steps a pointer Document the image never stores.
+/// Streams straight into the index, as serving loads do.
+const LoadOptions kStreamed{.backend = TreeBackend::kSuccinct};
+
+/// Strategies an image-opened engine supports: all but kBaseline, which
+/// steps a pointer Document the image never stores.
 const EvalStrategy kImageStrategies[] = {
     EvalStrategy::kNaive,     EvalStrategy::kJumping,
     EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
@@ -70,13 +73,13 @@ TEST(PersistRoundtripTest, RandomCorpusQueryParityAcrossStrategies) {
     const std::string xml = SerializeXml(doc);
     SCOPED_TRACE("seed " + std::to_string(seed));
 
-    auto built = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+    auto built = Engine::FromXmlString(xml, kStreamed);
     ASSERT_TRUE(built.ok()) << built.status();
     const std::string dir = FreshDir("corpus");
     ASSERT_TRUE(SaveIndexImage(*built, dir).ok());
     auto opened = OpenIndexImage(dir);
     ASSERT_TRUE(opened.ok()) << opened.status();
-    EXPECT_EQ(opened->backend(), TreeBackend::kSuccinct);
+    EXPECT_FALSE(opened->has_document());
     EXPECT_EQ(opened->num_nodes(), built->num_nodes());
 
     QueryGenOptions query_options;
@@ -88,12 +91,18 @@ TEST(PersistRoundtripTest, RandomCorpusQueryParityAcrossStrategies) {
 }
 
 TEST(PersistRoundtripTest, PointerBackendEngineSavesAndReopens) {
-  // Saving converts the pointer tree to the succinct view; node ids are
-  // preorder ranks on both, so answers (and PathTo) carry over.
-  auto built = Engine::FromXmlString(
-      "<lib><shelf><book/><book><note/></book></shelf><shelf/></lib>",
-      TreeBackend::kPointer);
+  // A kPointer load differs from a streamed kSuccinct load only by the
+  // Document it keeps: both index the XML identically, so both save the
+  // same image bytes, and answers (and PathTo) carry over.
+  const char* xml =
+      "<lib><shelf id='s1'><book>Tree <b>Automata</b></book><book><note/>"
+      "</book></shelf><shelf/></lib>";
+  auto built = Engine::FromXmlString(xml, {.backend = TreeBackend::kPointer});
   ASSERT_TRUE(built.ok()) << built.status();
+  ASSERT_TRUE(built->has_document());
+  auto streamed = Engine::FromXmlString(xml, kStreamed);
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  EXPECT_EQ(SerializeIndexImage(*built), SerializeIndexImage(*streamed));
   const std::string dir = FreshDir("pointer");
   ASSERT_TRUE(SaveIndexImage(*built, dir).ok());
   auto opened = OpenIndexImage(dir);
@@ -111,7 +120,7 @@ TEST(PersistRoundtripTest, SerializationIsAFixpoint) {
     tree_options.num_nodes = 150;
     tree_options.num_labels = 4;
     const std::string xml = SerializeXml(RandomTree(seed, tree_options));
-    auto built = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+    auto built = Engine::FromXmlString(xml, kStreamed);
     ASSERT_TRUE(built.ok()) << built.status();
 
     // Same engine, same bytes.
@@ -130,7 +139,7 @@ TEST(PersistRoundtripTest, SerializationIsAFixpoint) {
 
 TEST(PersistRoundtripTest, ValidateReportsLayout) {
   auto built = Engine::FromXmlString("<a v='1'><b/><b><c>hi</c></b></a>",
-                                     TreeBackend::kSuccinct);
+                                     kStreamed);
   ASSERT_TRUE(built.ok());
   const std::string image = SerializeIndexImage(*built);
   auto checked = ValidateIndexImage(
@@ -158,7 +167,7 @@ TEST(PersistRoundtripTest, TextSurvivesRoundtripWithFixpoint) {
       "<site><item id='a1'><name>apple pie</name><price>7</price></item>"
       "<item id='b2'><name>banana</name><price>7</price></item>"
       "<item id='c3'><name>cherry</name></item></site>";
-  auto built = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+  auto built = Engine::FromXmlString(xml, kStreamed);
   ASSERT_TRUE(built.ok()) << built.status();
   ASSERT_NE(built->text_store(), nullptr);
   const std::string image = SerializeIndexImage(*built);
@@ -184,7 +193,7 @@ TEST(PersistRoundtripTest, TextSurvivesRoundtripWithFixpoint) {
 }
 
 TEST(PersistRoundtripTest, SingleNodeDocumentRoundtrips) {
-  auto built = Engine::FromXmlString("<only/>", TreeBackend::kSuccinct);
+  auto built = Engine::FromXmlString("<only/>", kStreamed);
   ASSERT_TRUE(built.ok());
   const std::string dir = FreshDir("tiny");
   ASSERT_TRUE(SaveIndexImage(*built, dir).ok());
@@ -260,8 +269,7 @@ TEST(PersistRoundtripTest, CollectionReopensLazily) {
 }
 
 TEST(PersistRoundtripTest, SaveThenResaveProducesIdenticalFiles) {
-  auto built = Engine::FromXmlString("<r><s/><t><u/></t></r>",
-                                     TreeBackend::kSuccinct);
+  auto built = Engine::FromXmlString("<r><s/><t><u/></t></r>", kStreamed);
   ASSERT_TRUE(built.ok());
   const std::string dir = FreshDir("resave");
   ASSERT_TRUE(SaveIndexImage(*built, dir).ok());

@@ -1,9 +1,11 @@
 // Cross-engine parity for value-predicate queries ([text()='v'],
 // [@attr='v'], [contains(...,'v')], and their boolean combinations): the
-// pointer baseline evaluates the original path natively (the oracle), while
-// the pointer, succinct, and reopened-image engines run the relaxed plan
-// plus the post-filter stage. All four must agree on every query, over a
-// deterministic random text-bearing corpus and an XMark instance. Also
+// baseline evaluates the original path natively over the pointer Document
+// (the oracle), while the kPointer-loaded, streamed and reopened-image
+// engines run the relaxed plan plus the post-filter stage over their
+// indexes, built by three different pipelines. All four must agree on
+// every query, over a deterministic random text-bearing corpus and an
+// XMark instance. Also
 // covers the exists()/count() pushdown (visited-node counts must shrink
 // when the first verified hit ends the run) and the post-filter work
 // accounting surfaced through CursorStats.
@@ -49,9 +51,11 @@ struct EngineMatrix {
   Engine reopened;
 
   static EngineMatrix Build(const std::string& xml, const char* tag) {
-    auto pointer = Engine::FromXmlString(xml, TreeBackend::kPointer);
+    auto pointer =
+        Engine::FromXmlString(xml, {.backend = TreeBackend::kPointer});
     EXPECT_TRUE(pointer.ok()) << pointer.status();
-    auto succinct = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+    auto succinct =
+        Engine::FromXmlString(xml, {.backend = TreeBackend::kSuccinct});
     EXPECT_TRUE(succinct.ok()) << succinct.status();
     const std::string dir = FreshDir(tag);
     EXPECT_TRUE(SaveIndexImage(*succinct, dir).ok());
@@ -227,7 +231,8 @@ TEST(PredicateQueryTest, ExistsAndCountPushDownThroughTheFilter) {
   XMarkOptions opt;
   opt.scale = 0.004;
   const Document doc = GenerateXMark(opt);
-  auto engine = Engine::FromXmlString(SerializeXml(doc), TreeBackend::kSuccinct);
+  auto engine = Engine::FromXmlString(SerializeXml(doc),
+                                      {.backend = TreeBackend::kSuccinct});
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   const std::string queries[] = {
@@ -266,8 +271,9 @@ TEST(PredicateQueryTest, ExistsAndCountPushDownThroughTheFilter) {
 }
 
 TEST(PredicateQueryTest, FilterStatsAccountForCheckedAndRejected) {
-  auto engine = Engine::FromXmlString(
-      "<r><a>x</a><a>y</a><a>x</a><a/><b>x</b></r>", TreeBackend::kSuccinct);
+  auto engine =
+      Engine::FromXmlString("<r><a>x</a><a>y</a><a>x</a><a/><b>x</b></r>",
+                            {.backend = TreeBackend::kSuccinct});
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   auto cursor = engine->OpenCursor("//a[text()='x']");

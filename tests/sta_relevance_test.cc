@@ -70,8 +70,9 @@ TEST(TopDownJumpTest, VisitsExactlyRelevantOnPaperExample) {
   Document d = TreeOf("r(a(c(b),b),c,b)");
   DocIds ids = IdsOf(d);
   Sta min = MinimizeTopDown(StaForDescADescB(ids.a, ids.b));
-  TreeIndex index(d);
-  JumpRunResult jump = TopDownJumpRun(min, d, index);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  JumpRunResult jump = TopDownJumpRun(min, tree, index);
   StaRunResult full = TopDownRun(min, d);
   ASSERT_TRUE(jump.accepting);
   EXPECT_EQ(jump.visited, TopDownRelevantNodes(min, d, full.states));
@@ -83,7 +84,8 @@ class JumpPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(JumpPropertyTest, Theorem31OnRandomTrees) {
   Document d = RandomTree(GetParam(), {.num_nodes = 200, .num_labels = 3});
   DocIds ids = IdsOf(d);
-  TreeIndex index(d);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   std::vector<Sta> automata = {
       MinimizeTopDown(StaForDescADescB(ids.a, ids.b)),
       MinimizeTopDown(StaForDescendantChain({ids.a, ids.b, ids.c})),
@@ -91,7 +93,7 @@ TEST_P(JumpPropertyTest, Theorem31OnRandomTrees) {
   };
   for (const Sta& min : automata) {
     StaRunResult full = TopDownRun(min, d);
-    JumpRunResult jump = TopDownJumpRun(min, d, index);
+    JumpRunResult jump = TopDownJumpRun(min, tree, index);
     ASSERT_EQ(jump.accepting, full.accepting);
     if (!full.accepting) {
       EXPECT_TRUE(jump.visited.empty());
@@ -120,8 +122,9 @@ TEST(TopDownJumpTest, RejectionReturnsEmptyMapping) {
   Document d = TreeOf("b(a)");
   LabelId a = d.alphabet().Find("a");
   Sta min = MinimizeTopDown(StaDtdRootIsA(a));
-  TreeIndex index(d);
-  JumpRunResult jump = TopDownJumpRun(min, d, index);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  JumpRunResult jump = TopDownJumpRun(min, tree, index);
   EXPECT_FALSE(jump.accepting);
   for (StateId q : jump.states) EXPECT_EQ(q, kNoState);
 }
@@ -137,8 +140,9 @@ TEST(TopDownJumpTest, JumpSkipsHugeIrrelevantRegions) {
   Document d = TreeOf(spec);
   DocIds ids = IdsOf(d);
   Sta min = MinimizeTopDown(StaForDescADescB(ids.a, ids.b));
-  TreeIndex index(d);
-  JumpRunResult jump = TopDownJumpRun(min, d, index);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  JumpRunResult jump = TopDownJumpRun(min, tree, index);
   ASSERT_TRUE(jump.accepting);
   EXPECT_EQ(jump.selected.size(), 2u);
   EXPECT_LT(jump.stats.nodes_visited, 10);
@@ -192,7 +196,8 @@ TEST(BottomUpSkipRunTest, AgreesWithFullRunAndSkips) {
     Document d = RandomTree(seed, {.num_nodes = 200, .num_labels = 3});
     DocIds ids = IdsOf(d);
     Sta sta = StaForAWithBDescendant(ids.a, ids.b);
-    TreeIndex index(d);
+    SuccinctTree tree(d);
+    TreeIndex index(tree);
     StaRunResult full = BottomUpRun(sta, d);
     JumpRunResult skip = BottomUpSkipRun(sta, d, index);
     ASSERT_EQ(skip.accepting, full.accepting);
@@ -220,7 +225,8 @@ TEST(BottomUpSkipRunTest, SkipsLargeBFreeRegions) {
   Document d = TreeOf(spec);
   DocIds ids = IdsOf(d);
   Sta sta = StaForAWithBDescendant(ids.a, ids.b);
-  TreeIndex index(d);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   JumpRunResult skip = BottomUpSkipRun(sta, d, index);
   ASSERT_TRUE(skip.accepting);
   EXPECT_EQ(skip.selected, (std::vector<NodeId>{1}));

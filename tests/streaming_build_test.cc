@@ -344,18 +344,16 @@ TEST(StreamingBuildTest, EngineStreamedSuccinctMatchesMaterialized) {
   Document doc = GenerateXMark(opt);
   const std::string xml = SerializeXml(doc);
 
-  auto streamed = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+  auto streamed =
+      Engine::FromXmlString(xml, {.backend = TreeBackend::kSuccinct});
   ASSERT_TRUE(streamed.ok()) << streamed.status();
-  EXPECT_EQ(streamed->backend(), TreeBackend::kSuccinct);
   EXPECT_FALSE(streamed->has_document());
-  ASSERT_NE(streamed->succinct_tree(), nullptr);
 
-  Engine materialized =
-      Engine::FromDocument(*ParseXmlString(xml), TreeBackend::kSuccinct);
+  Engine materialized = Engine::FromDocument(*ParseXmlString(xml));
   EXPECT_TRUE(materialized.has_document());
   EXPECT_EQ(streamed->num_nodes(), materialized.num_nodes());
-  ExpectSameSuccinct(*streamed->succinct_tree(),
-                     *materialized.succinct_tree(), "engine streamed");
+  ExpectSameSuccinct(streamed->tree(), materialized.tree(),
+                     "engine streamed");
 
   for (const char* q : {"//keyword", "/site/regions//item",
                         "//person[address]", "//listitem//keyword"}) {
@@ -366,7 +364,7 @@ TEST(StreamingBuildTest, EngineStreamedSuccinctMatchesMaterialized) {
   }
 
   // The baseline strategy needs the pointer Document, which a streamed
-  // succinct engine deliberately never builds.
+  // engine deliberately never builds.
   QueryOptions baseline;
   baseline.strategy = EvalStrategy::kBaseline;
   EXPECT_FALSE(streamed->Run("//keyword", baseline).ok());

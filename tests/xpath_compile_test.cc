@@ -25,8 +25,9 @@ Asta Compile(std::string_view xpath, Alphabet* alphabet) {
 
 std::vector<NodeId> Eval(std::string_view xpath, const Document& doc) {
   Asta asta = Compile(xpath, doc.alphabet_ptr().get());
-  TreeIndex index(doc);
-  return EvalAsta(asta, doc, &index).nodes;
+  SuccinctTree tree(doc);
+  TreeIndex index(tree);
+  return EvalAsta(asta, tree, &index).nodes;
 }
 
 TEST(CompileTest, Example41Structure) {
@@ -162,8 +163,9 @@ TEST(CompileTest, MatchesHandWrittenAstasOnRandomTrees) {
     LabelId a = d.alphabet().Find("a");
     LabelId b = d.alphabet().Find("b");
     Asta hand = testing_util::AstaForDescADescB(a, b);
-    TreeIndex index(d);
-    AstaEvalResult hand_result = EvalAsta(hand, d, &index);
+    SuccinctTree tree(d);
+    TreeIndex index(tree);
+    AstaEvalResult hand_result = EvalAsta(hand, tree, &index);
     EXPECT_EQ(Eval("//a//b", d), hand_result.nodes) << seed;
   }
 }
@@ -177,10 +179,11 @@ TEST(CompileTest, CompiledAutomataAgreeWithAstaOracle) {
   };
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Document d = RandomTree(seed, {.num_nodes = 120, .num_labels = 3});
-    TreeIndex index(d);
+    SuccinctTree tree(d);
+    TreeIndex index(tree);
     for (const char* q : queries) {
       Asta asta = Compile(q, d.alphabet_ptr().get());
-      AstaEvalResult got = EvalAsta(asta, d, &index);
+      AstaEvalResult got = EvalAsta(asta, tree, &index);
       EXPECT_EQ(got.nodes, AstaOracleSelect(asta, d)) << q << " seed " << seed;
     }
   }
@@ -193,10 +196,11 @@ TEST(CompileSuffixTest, SuffixSelectsWithinSubtree) {
   // Suffix from step 2 (//em) relative to a kw pivot.
   auto suffix = CompileSuffixToAsta(*path, 2, d.alphabet_ptr().get());
   ASSERT_TRUE(suffix.ok()) << suffix.status();
-  TreeIndex index(d);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
   // Evaluate below kw (node 2): strict descendants = {em3}.
   AstaEvalResult r =
-      EvalAstaAt(*suffix, d, &index, d.BinaryLeft(2), AstaEvalOptions{});
+      EvalAstaAt(*suffix, tree, &index, d.BinaryLeft(2), AstaEvalOptions{});
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{3}));
 }
 
