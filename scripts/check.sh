@@ -2,11 +2,12 @@
 # Tier-1 verify plus the quick benchmark suite.
 #
 # Builds everything, runs the full test suite through ctest, re-runs the
-# ingestion/parser suites under ASan+UBSan, then smoke-runs the quick
-# benches (bench_navigation, bench_eval_succinct, bench_build) into
-# build/ and validates their JSON. The repo-root BENCH_*.json files are
-# full-scale runs committed per PR (the perf trajectory); the quick smoke
-# outputs deliberately do not overwrite them.
+# ingestion, serving and evaluator suites under ASan+UBSan with debug
+# checks live, then smoke-runs the quick benches (bench_navigation,
+# bench_eval_succinct, bench_build) into build/ and validates their JSON.
+# The repo-root BENCH_*.json files are full-scale runs committed per PR
+# (the perf trajectory); the quick smoke outputs deliberately do not
+# overwrite them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -149,18 +150,25 @@ grep -q "drained clean" build/xpathd_early.log
 # ASan/UBSan catch regressions in. The Persist* suites are the corruption
 # sweep: every byte of a saved image flipped, truncations at every section
 # boundary, structural faults behind valid checksums — all of it must fail
-# with clean Status objects and zero sanitizer reports.
-cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXPWQO_SANITIZE=ON
+# with clean Status objects and zero sanitizer reports. The evaluator
+# suites run here too: the ASTA driver keeps frames, partial results and
+# posting cursors in hand-managed stacks and indexes, and its position
+# arithmetic and cursor monotonicity are XPWQO_DCHECKs. The sanitizer
+# builds therefore compile with -O2 -g and without -DNDEBUG (CMake's
+# RelWithDebInfo default adds it), so every debug check is live.
+SANITIZER_FLAGS=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                 -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g")
+cmake -B build-asan -S . "${SANITIZER_FLAGS[@]}" -DXPWQO_SANITIZE=ON
 cmake --build build-asan -j"$(nproc)" --target xpwqo_tests
 ./build-asan/xpwqo_tests \
-  --gtest_filter='XmlParser*:XmlSerializer*:StreamingBuild*:StructuralScan*:BulkLoad*:TreeBuilder*:SuccinctTree*:Document*:LabelIndex*:PostingList*:ResultCursor*:PreparedQuery*:Collection*:Persist*:ExecMonitor*:ServingRuntime*:TextStore*:*PredicateParity*:PredicateQuery*:HttpCodec*:NetServer*'
+  --gtest_filter='XmlParser*:XmlSerializer*:StreamingBuild*:StructuralScan*:BulkLoad*:TreeBuilder*:SuccinctTree*:*SuccinctTreeRandom*:Document*:LabelIndex*:PostingList*:ResultCursor*:PreparedQuery*:Collection*:Persist*:ExecMonitor*:ServingRuntime*:TextStore*:*PredicateParity*:PredicateQuery*:HttpCodec*:NetServer*:AstaEval*:*AstaEvalProperty*:CrossEngine*:*CrossEngine*:StatsRegression*:EvalCounters*:Hybrid*:TopDownJump*:*JumpProperty*:TreeIndex*:*TreeIndexRandom*:ResultSet*:NodeList*:StateMask*:Engine*'
 
 # The same ingestion suites again with every SIMD path compiled out
 # (-DXPWQO_FORCE_SCALAR=ON drops the SSE4.2/AVX2/BMI2 gates): the scalar
 # scanner and the un-accelerated rank/select paths must pass the identical
 # parity and parser tests under ASan/UBSan. This is the build CI falls back
 # to on machines without the extensions, so it gets the same scrutiny.
-cmake -B build-scalar -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+cmake -B build-scalar -S . "${SANITIZER_FLAGS[@]}" \
   -DXPWQO_SANITIZE=ON -DXPWQO_FORCE_SCALAR=ON
 cmake --build build-scalar -j"$(nproc)" --target xpwqo_tests
 ./build-scalar/xpwqo_tests \

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
+#include <span>
 
 #include "util/check.h"
 
@@ -25,10 +25,26 @@ struct EvalEntry {
   std::vector<MarkInstr> instrs;
 };
 
+/// Applicable transitions of a (set, label) pair and the state sets they
+/// send to the children (Algorithm 4.1, lines 3-4). A memoized step also
+/// caches the interned ids of those sets, filled on first use; unlike the
+/// step table itself these lookups are not counted as memo hits.
 struct Step {
   std::vector<int32_t> transitions;
   StateMask r1;
   StateMask r2;  // without information propagation
+  SetId r1_id = kNoSet;
+  SetId r2_id = kNoSet;  // r2's id, without information propagation
+  // With information propagation, r2 depends on the first child's accepted
+  // set: (id of that set, id of the r2 it yields).
+  std::vector<std::pair<SetId, SetId>> r2_after;
+};
+
+/// A set's jump decision, plus the essential labels that have postings
+/// (the ones whose cursors a d_t / f_t probe merges).
+struct JumpData {
+  JumpInfo info;
+  std::vector<LabelId> posted;
 };
 
 /// Exact 128-bit memo key: (set, label) in `a`, (dom1, dom2) in `b`.
@@ -38,13 +54,11 @@ struct MemoKey {
   uint64_t b;
   bool operator==(const MemoKey& o) const { return a == o.a && b == o.b; }
 };
-struct MemoKeyHash {
-  size_t operator()(const MemoKey& k) const {
-    uint64_t h = k.a * 0x9e3779b97f4a7c15ULL;
-    h ^= k.b + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
+uint64_t HashOf(const MemoKey& k) {
+  uint64_t h = k.a * 0x9e3779b97f4a7c15ULL;
+  h ^= k.b + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
+}
 MemoKey StepKey(SetId s, LabelId label) {
   return {(static_cast<uint64_t>(static_cast<uint32_t>(s)) << 32) |
               static_cast<uint32_t>(label + 2),
@@ -56,6 +70,60 @@ MemoKey EvalKey(SetId s, LabelId label, SetId d1, SetId d2) {
         static_cast<uint32_t>(d2);
   return k;
 }
+
+/// Open-addressed table of dense ids 0, 1, 2, ... (linear probing, load at
+/// most 1/2). The owner stores the keys, indexed by id; the table keeps
+/// each id's hash and resolves a lookup through the owner's equality test.
+class IdTable {
+ public:
+  IdTable() : slots_(size_t{1} << kInitialBits, kNoSet) {}
+
+  /// The id whose key `eq(id)` accepts. When there is none, registers the
+  /// next id (the previous count) under `hash`, sets *added, and returns it;
+  /// the caller then appends the key at that id.
+  template <typename Eq>
+  int32_t FindOrAdd(uint64_t hash, Eq eq, bool* added) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Slot(hash);
+    for (;; i = (i + 1) & mask) {
+      const int32_t id = slots_[i];
+      if (id == kNoSet) break;
+      if (hashes_[id] == hash && eq(id)) {
+        *added = false;
+        return id;
+      }
+    }
+    const int32_t id = static_cast<int32_t>(hashes_.size());
+    slots_[i] = id;
+    hashes_.push_back(hash);
+    if (2 * hashes_.size() > slots_.size()) Grow();
+    *added = true;
+    return id;
+  }
+
+ private:
+  static constexpr int kInitialBits = 4;
+
+  // Multiplicative hashing: the top bits of hash * φ·2^64.
+  size_t Slot(uint64_t hash) const {
+    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void Grow() {
+    slots_.assign(slots_.size() * 2, kNoSet);
+    --shift_;
+    const size_t mask = slots_.size() - 1;
+    for (size_t id = 0; id < hashes_.size(); ++id) {
+      size_t i = Slot(hashes_[id]);
+      while (slots_[i] != kNoSet) i = (i + 1) & mask;
+      slots_[i] = static_cast<int32_t>(id);
+    }
+  }
+
+  std::vector<int32_t> slots_;
+  std::vector<uint64_t> hashes_;  // by id
+  int shift_ = 64 - kInitialBits;
+};
 
 class AstaEvaluator {
  public:
@@ -69,7 +137,11 @@ class AstaEvaluator {
         num_states_(asta.num_states()),
         monitor_(options.control) {
     XPWQO_CHECK(asta.finalized());
-    if (options_.jumping) XPWQO_CHECK(index_ != nullptr);
+    if (options_.jumping) {
+      XPWQO_CHECK(index_ != nullptr);
+      cursors_.resize(index_->labels().NumLists());
+      cursor_open_.resize(cursors_.size(), 0);
+    }
   }
 
   AstaEvalResult Run() { return RunAt(tree_.root()); }
@@ -83,7 +155,7 @@ class AstaEvaluator {
     AstaEvalResult out;
     if (start == kNullNode) return out;
     SetId s0 = InternMask(asta_.TopMask());
-    ResultSet gamma = Drive(start, s0);
+    ResultSet gamma = Drive(start, tree_.OpenPos(start), s0);
     out.interrupt = monitor_.stop_code();
     if (out.interrupt == StatusCode::kOk) {
       NodeList all;
@@ -100,54 +172,117 @@ class AstaEvaluator {
     return out;
   }
 
+  /// The members of a finite essential set that have postings in this
+  /// document, i.e. the labels FirstPosted can find.
+  std::vector<LabelId> PostedLabels(const LabelSet& essential) const {
+    std::vector<LabelId> out;
+    const LabelIndex& labels = index_->labels();
+    for (LabelId l : essential.FiniteMembers()) {
+      if (l >= 0 && static_cast<size_t>(l) < labels.NumLists() &&
+          !labels.Postings(l).empty()) {
+        out.push_back(l);
+      }
+    }
+    return out;
+  }
+
+  /// The d_t / f_t probe: the smallest node in [lo, hi) labeled with one of
+  /// `labels` (from PostedLabels), or kNullNode.
+  ///
+  /// Run-scoped cursors: each label has one forward-only posting cursor,
+  /// opened at its first probe and kept for the evaluator's lifetime, over
+  /// every region of a region stream too. A probe thus costs amortized
+  /// cursor movement, not a seek from the list head per jump. This is sound
+  /// because the lower bounds of all probes of one evaluator never
+  /// decrease. The driver visits nodes in binary preorder and probes only
+  /// ranges that start after everything it has visited so far:
+  ///  - entering node c probes from c + 1, and c follows its binary
+  ///    ancestors and every binary subtree finished before it, which
+  ///    contain every earlier probe (each lies inside the subtree it
+  ///    enumerates);
+  ///  - the next topmost target probes from BinaryEnd(previous target),
+  ///    past every probe made inside the previous target's subtree;
+  ///  - the region stream's own enumeration probes from BinaryEnd of the
+  ///    region just evaluated, and regions come in document order.
+  /// (The TDSTA run pushes right before left, so it does not probe in
+  /// order and keeps per-enumeration LabelIndex::SetCursors.)
+  NodeId FirstPosted(std::span<const LabelId> labels, NodeId lo, NodeId hi) {
+    XPWQO_DCHECK(lo >= last_lo_);
+    last_lo_ = lo;
+    uint32_t best = static_cast<uint32_t>(kNullNode);  // unsigned maximum
+    for (LabelId l : labels) {
+      if (!cursor_open_[l]) {
+        cursors_[l] = PostingList::Cursor(index_->labels().Postings(l));
+        cursor_open_[l] = 1;
+      }
+      best = std::min(best, static_cast<uint32_t>(cursors_[l].SeekGE(lo)));
+    }
+    const NodeId first = static_cast<NodeId>(best);
+    return first < hi ? first : kNullNode;
+  }
+
  private:
   // ------------------------------------------------------------------
   // Determinized state-set interning.
   SetId InternMask(const StateMask& mask) {
-    uint64_t h = mask.Hash();
-    for (SetId id : set_buckets_[h]) {
-      if (sets_[id] == mask) return id;
-    }
-    SetId id = static_cast<SetId>(sets_.size());
-    sets_.push_back(mask);
-    set_buckets_[h].push_back(id);
+    bool added;
+    const SetId id = set_table_.FindOrAdd(
+        mask.Hash(), [&](SetId i) { return sets_[i] == mask; }, &added);
+    if (added) sets_.push_back(mask);
     return id;
   }
   const StateMask& MaskOf(SetId s) const { return sets_[s]; }
 
+  ResultSet EmptyResult() const { return ResultSet(num_states_); }
+
   // ------------------------------------------------------------------
   // Step computation: applicable transitions and child sets (Algorithm 4.1,
   // lines 3-4).
-  Step ComputeStep(SetId s, LabelId label) const {
-    Step step;
-    step.r1 = StateMask(num_states_);
-    step.r2 = StateMask(num_states_);
+  void FillStep(SetId s, LabelId label, Step* step) const {
+    step->transitions.clear();
+    step->r1 = StateMask(num_states_);
+    step->r2 = StateMask(num_states_);
     const StateMask& mask = sets_[s];
     for (StateId q = 0; q < num_states_; ++q) {
       if (!mask.Get(q)) continue;
       for (int32_t t : asta_.TransitionsOf(q)) {
         if (!asta_.transitions()[t].labels.Contains(label)) continue;
-        step.transitions.push_back(t);
-        for (StateId d : tda_.Down1(t)) step.r1.Set(d);
-        for (StateId d : tda_.Down2(t)) step.r2.Set(d);
+        step->transitions.push_back(t);
+        for (StateId d : tda_.Down1(t)) step->r1.Set(d);
+        for (StateId d : tda_.Down2(t)) step->r2.Set(d);
       }
     }
-    return step;
   }
 
-  const Step& GetStep(SetId s, LabelId label) {
+  /// The step of (s, label): from the memo table, or (memoization off)
+  /// computed into the next slot of the step stack, which the node's frame
+  /// holds until it pops.
+  Step* GetStep(SetId s, LabelId label) {
     if (!options_.memoize) {
-      scratch_step_ = ComputeStep(s, label);
-      return scratch_step_;
+      if (step_depth_ == step_stack_.size()) step_stack_.emplace_back();
+      Step* step = &step_stack_[step_depth_++];
+      FillStep(s, label, step);
+      return step;
     }
-    MemoKey key = StepKey(s, label);
-    auto it = step_memo_.find(key);
-    if (it != step_memo_.end()) {
+    const MemoKey key = StepKey(s, label);
+    bool added;
+    const int32_t id = step_table_.FindOrAdd(
+        HashOf(key), [&](int32_t i) { return step_keys_[i] == key; }, &added);
+    if (!added) {
       ++stats_.memo_hits;
-      return it->second;
+      return &steps_[id];
     }
     ++stats_.memo_step_entries;
-    return step_memo_.emplace(key, ComputeStep(s, label)).first->second;
+    step_keys_.push_back(key);
+    steps_.emplace_back();
+    FillStep(s, label, &steps_.back());
+    return &steps_.back();
+  }
+
+  SetId R1Of(Step* step) {
+    if (!options_.memoize) return InternMask(step->r1);
+    if (step->r1_id == kNoSet) step->r1_id = InternMask(step->r1);
+    return step->r1_id;
   }
 
   // r2 with information propagation: drop ↓2 needs of transitions already
@@ -164,6 +299,24 @@ class AstaEvaluator {
         if (v == Truth3::kUnknown || asta_.IsMarking(d)) r2.Set(d);
       }
     }
+    return r2;
+  }
+
+  /// The set sent to the second child, once the first child returned g1.
+  /// Memoized runs also intern g1's accepted set here (into *d1, the eval
+  /// memo's key part) and reuse r2 per (step, d1).
+  SetId R2Of(Step* step, const ResultSet& g1, SetId* d1) {
+    if (!options_.memoize) return InternMask(ComputeR2(*step, g1));
+    *d1 = InternMask(g1.accepted);
+    if (!options_.info_propagation) {
+      if (step->r2_id == kNoSet) step->r2_id = InternMask(step->r2);
+      return step->r2_id;
+    }
+    for (const auto& [from, r2] : step->r2_after) {
+      if (from == *d1) return r2;
+    }
+    const SetId r2 = InternMask(ComputeR2(*step, g1));
+    step->r2_after.emplace_back(*d1, r2);
     return r2;
   }
 
@@ -213,9 +366,8 @@ class AstaEvaluator {
     return false;
   }
 
-  EvalEntry ComputeEval(const Step& step, LabelId label, const StateMask& d1,
+  EvalEntry ComputeEval(const Step& step, const StateMask& d1,
                         const StateMask& d2) {
-    (void)label;
     EvalEntry entry;
     entry.accepted = StateMask(num_states_);
     std::vector<std::pair<int, StateId>> atoms;
@@ -236,33 +388,32 @@ class AstaEvaluator {
   }
 
   /// eval_trans (Definition C.3): builds Γ for node n from the child
-  /// results, via the memoized evaluation program when enabled.
-  ResultSet EvalTransitions(SetId s, LabelId label, NodeId n,
-                            const ResultSet& g1, const ResultSet& g2,
-                            const Step& step) {
+  /// results, via the memoized evaluation program when enabled. `d1` is
+  /// the interned id of g1's accepted set (memoized runs only).
+  ResultSet EvalTransitions(SetId s, NodeId n, const Step& step, SetId d1,
+                            const ResultSet& g1, const ResultSet& g2) {
     const EvalEntry* entry;
     EvalEntry scratch;
     if (options_.memoize) {
-      SetId d1 = InternMask(g1.accepted);
-      SetId d2 = InternMask(g2.accepted);
-      MemoKey key = EvalKey(s, label, d1, d2);
-      auto it = eval_memo_.find(key);
-      if (it != eval_memo_.end()) {
+      const MemoKey key =
+          EvalKey(s, tree_.label(n), d1, InternMask(g2.accepted));
+      bool added;
+      const int32_t id = eval_table_.FindOrAdd(
+          HashOf(key), [&](int32_t i) { return eval_keys_[i] == key; },
+          &added);
+      if (!added) {
         ++stats_.memo_hits;
-        entry = &it->second;
       } else {
         ++stats_.memo_eval_entries;
-        entry = &eval_memo_
-                     .emplace(key,
-                              ComputeEval(step, label, g1.accepted,
-                                          g2.accepted))
-                     .first->second;
+        eval_keys_.push_back(key);
+        evals_.push_back(ComputeEval(step, g1.accepted, g2.accepted));
       }
+      entry = &evals_[id];
     } else {
-      scratch = ComputeEval(step, label, g1.accepted, g2.accepted);
+      scratch = ComputeEval(step, g1.accepted, g2.accepted);
       entry = &scratch;
     }
-    ResultSet out(num_states_);
+    ResultSet out;
     out.accepted = entry->accepted;
     for (const MarkInstr& instr : entry->instrs) {
       NodeList marks;
@@ -277,117 +428,175 @@ class AstaEvaluator {
 
   // ------------------------------------------------------------------
   // Jump classification per interned set.
-  const JumpInfo& GetJump(SetId s) {
-    if (options_.memoize) {
-      if (static_cast<size_t>(s) < jump_cache_.size() &&
-          jump_cache_[s].second) {
-        return jump_cache_[s].first;
-      }
-      if (static_cast<size_t>(s) >= jump_cache_.size()) {
-        jump_cache_.resize(s + 1);
-      }
-      jump_cache_[s] = {tda_.JumpFor(sets_[s]), true};
-      return jump_cache_[s].first;
+  void FillJump(SetId s, JumpData* jump) const {
+    jump->info = tda_.JumpFor(sets_[s]);
+    jump->posted.clear();
+    if (jump->info.kind == LoopKind::kBoth ||
+        jump->info.kind == LoopKind::kRight) {
+      jump->posted = PostedLabels(jump->info.essential);
     }
-    scratch_jump_ = tda_.JumpFor(sets_[s]);
-    return scratch_jump_;
+  }
+
+  const JumpData& GetJump(SetId s) {
+    if (!options_.memoize) {
+      FillJump(s, &scratch_jump_);
+      return scratch_jump_;
+    }
+    if (static_cast<size_t>(s) >= jump_of_set_.size()) {
+      jump_of_set_.resize(s + 1, nullptr);
+    }
+    if (jump_of_set_[s] == nullptr) {
+      jumps_.emplace_back();
+      FillJump(s, &jumps_.back());
+      jump_of_set_[s] = &jumps_.back();
+    }
+    return *jump_of_set_[s];
   }
 
   // ------------------------------------------------------------------
-  // Driver.
+  // Driver. Frames are slim and live in a vector; a node frame's first-child
+  // result and a topmost frame's accumulator sit on the separate partial_
+  // stack, and non-memoized runs keep their per-node steps and jump labels
+  // on reused stacks, so a steady-state run allocates nothing per node.
+  // Every frame carries its node's BP position, so child and sibling moves
+  // need no select; only jump landings pay one (OpenPos).
   struct Frame {
-    enum Kind : uint8_t { kNode, kTopmost } kind;
+    enum Kind : uint8_t { kNode, kTopmost };
+    Kind kind = kNode;
     uint8_t phase = 0;
-    NodeId node = kNullNode;  // kNode: the node; kTopmost: current target
+    bool early_stop = false;  // kTopmost: stop once every state accepted
     SetId set = kNoSet;
+    NodeId node = kNullNode;  // kNode: the node; kTopmost: current target
+    int64_t pos = -1;         // BP open position of `node`
+    Step* step = nullptr;     // kNode, from phase 1 on
+    SetId d1 = kNoSet;        // kNode, memoized: id of Γ1's accepted set
     NodeId scope_end = kNullNode;  // kTopmost: BinaryEnd(scope), hoisted
-    const Step* step = nullptr;  // kNode, from phase 1 on
-    Step owned_step;             // backing storage when memoization is off
-    ResultSet acc;             // kNode: Γ1; kTopmost: accumulator
-    // kTopmost: merged probe over the essential labels' compressed
-    // postings; its per-label cursors advance monotonically across the
-    // whole enumeration (skip-table gallops past whole delta blocks), so
-    // each f_t step costs amortized cursor movement, not |L| fresh seeks.
-    LabelIndex::SetCursor cursor;
-    bool early_stop = false;   // kTopmost: stop once every state accepted
+    std::span<const LabelId> labels;  // kTopmost: posted essential labels
   };
 
-  void PushNode(NodeId n, SetId s) {
+  void PushNode(NodeId n, int64_t pos, SetId s) {
     Frame f;
     f.kind = Frame::kNode;
     f.node = n;
+    f.pos = pos;
     f.set = s;
-    frames_.push_back(std::move(f));
+    frames_.push_back(f);
   }
 
-  /// Enters the child subtree rooted at `c` with determinized set `s`.
-  /// Either pushes frames (returns true) or resolves immediately into ret_
-  /// (returns false).
-  bool Enter(NodeId c, SetId s) {
+  /// Pops the top frame and releases what it borrowed from the
+  /// non-memoized step and label stacks.
+  void PopFrame() {
+    if (!options_.memoize) {
+      if (frames_.back().kind == Frame::kNode) {
+        --step_depth_;
+      } else {
+        --label_depth_;
+      }
+    }
+    frames_.pop_back();
+  }
+
+  /// Enters the child subtree rooted at `c` (BP position `pos`) with
+  /// determinized set `s`. Either pushes frames (returns true) or resolves
+  /// immediately into ret_ (returns false).
+  bool Enter(NodeId c, int64_t pos, SetId s) {
     if (c == kNullNode || MaskOf(s).None()) {
-      ret_ = ResultSet(num_states_);
+      ret_ = EmptyResult();
       return false;
     }
     if (options_.jumping) {
-      const JumpInfo& jump = GetJump(s);
-      if (jump.kind != LoopKind::kNone &&
-          !jump.essential.Contains(tree_.label(c))) {
+      const JumpData& jump = GetJump(s);
+      if (jump.info.kind != LoopKind::kNone &&
+          !jump.info.essential.Contains(tree_.label(c))) {
         ++stats_.jumps;
-        switch (jump.kind) {
+        switch (jump.info.kind) {
           case LoopKind::kBoth: {
-            // One BinaryEnd (an excess search, worth hoisting) for the
-            // whole enumeration; d_t is the cursor's first probe, f_t the
-            // subsequent ones.
-            const NodeId scope_end = tree_.BinaryEnd(c);
-            LabelIndex::SetCursor cursor(index_->labels(), jump.essential);
-            NodeId m = cursor.First(c + 1, scope_end);
+            // One BinaryEnd for the whole enumeration; d_t is the first
+            // probe, f_t the subsequent ones.
+            const NodeId scope_end = tree_.BinaryEndAt(c, pos);
+            const NodeId m = FirstPosted(jump.posted, c + 1, scope_end);
             if (m == kNullNode) break;
             Frame f;
             f.kind = Frame::kTopmost;
             f.node = m;
+            f.pos = tree_.OpenPos(m);
             f.set = s;
             f.scope_end = scope_end;
-            f.acc = ResultSet(num_states_);
-            f.cursor = std::move(cursor);
-            f.early_stop = jump.all_nonmarking;
-            frames_.push_back(std::move(f));
+            f.early_stop = jump.info.all_nonmarking;
+            if (options_.memoize) {
+              f.labels = jump.posted;  // jumps_ entries never move
+            } else {
+              if (label_depth_ == label_stack_.size()) {
+                label_stack_.emplace_back();
+              }
+              std::vector<LabelId>& held = label_stack_[label_depth_++];
+              held = jump.posted;
+              f.labels = held;
+            }
+            frames_.push_back(f);
+            partial_.push_back(EmptyResult());  // the accumulator
             return true;
           }
           case LoopKind::kLeft: {
-            NodeId m = index_->LeftPathFirst(c, jump.essential);
-            if (m == kNullNode) break;
-            PushNode(m, s);
-            return true;
+            for (NodePos x = tree_.FirstChildAt(c, pos); x.node != kNullNode;
+                 x = tree_.FirstChildAt(x.node, x.pos)) {
+              if (jump.info.essential.Contains(tree_.label(x.node))) {
+                PushNode(x.node, x.pos, s);
+                return true;
+              }
+            }
+            break;
           }
           case LoopKind::kRight: {
-            NodeId m = index_->RightPathFirst(c, jump.essential);
-            if (m == kNullNode) break;
-            PushNode(m, s);
+            const NodePos m = RightPathFirst(c, pos, jump.posted);
+            if (m.node == kNullNode) break;
+            PushNode(m.node, m.pos, s);
             return true;
           }
           case LoopKind::kNone:
             break;
         }
         // No essential node in range: the whole region evaluates to ∅.
-        ret_ = ResultSet(num_states_);
+        ret_ = EmptyResult();
         return false;
       }
     }
-    PushNode(c, s);
+    PushNode(c, pos, s);
     return true;
+  }
+
+  /// r_t(c, L) (TreeIndex::RightPathFirst) on positions and the run-scoped
+  /// cursors: the first node of c's next-sibling chain, c excluded, labeled
+  /// in `labels`. A match nested inside a sibling's subtree resumes the
+  /// probe past that sibling. The probes start at c's XML end, after every
+  /// node visited so far, as FirstPosted requires.
+  NodePos RightPathFirst(NodeId c, int64_t pos,
+                         std::span<const LabelId> labels) {
+    const int depth = tree_.DepthAt(c, pos);
+    const NodeId hi = tree_.BinaryEndAt(c, pos);
+    NodeId lo = tree_.XmlEndAt(c, pos);  // c's next sibling, if any
+    while (lo < hi) {
+      const NodeId m = FirstPosted(labels, lo, hi);
+      if (m == kNullNode) break;
+      const NodePos top = tree_.AncestorAt(m, tree_.OpenPos(m), depth);
+      if (top.node == m) return top;  // on the spine
+      lo = tree_.XmlEndAt(top.node, top.pos);
+    }
+    return {};
   }
 
   static void Accumulate(ResultSet* acc, const ResultSet& val,
                          NodeListArena* arena) {
     acc->accepted.UnionWith(val.accepted);
-    for (size_t i = 0; i < val.mark_states.size(); ++i) {
-      acc->AddMarks(val.mark_states[i], val.mark_lists[i], arena);
+    for (int i = 0; i < val.num_marked(); ++i) {
+      acc->AddMarks(val.marked_state(i), val.marked_list(i), arena);
     }
   }
 
-  ResultSet Drive(NodeId root, SetId s0) {
-    if (!Enter(root, s0)) return std::move(ret_);
+  ResultSet Drive(NodeId root, int64_t root_pos, SetId s0) {
+    if (!Enter(root, root_pos, s0)) return std::move(ret_);
     while (!frames_.empty()) {
+      // Pushing may reallocate frames_: `f` is not used after a push.
       Frame& f = frames_.back();
       if (f.kind == Frame::kNode) {
         switch (f.phase) {
@@ -399,41 +608,37 @@ class AstaEvaluator {
               // RunAt on the same evaluator (region streaming) keeps
               // reporting the stop through monitor_.stopped().
               frames_.clear();
-              ret_ = ResultSet(num_states_);
+              partial_.clear();
+              step_depth_ = 0;
+              label_depth_ = 0;
+              ret_ = EmptyResult();
               continue;
             }
-            if (options_.memoize) {
-              f.step = &GetStep(f.set, tree_.label(f.node));
-            } else {
-              // Frames live in a deque, so this address is stable.
-              f.owned_step = ComputeStep(f.set, tree_.label(f.node));
-              f.step = &f.owned_step;
-            }
+            f.step = GetStep(f.set, tree_.label(f.node));
             if (f.step->transitions.empty()) {
-              frames_.pop_back();
-              ret_ = ResultSet(num_states_);
+              PopFrame();
+              ret_ = EmptyResult();
               continue;
             }
             f.phase = 1;
-            SetId r1 = InternMask(f.step->r1);
-            NodeId left = tree_.BinaryLeft(f.node);
-            Enter(left, r1);  // immediate results land in ret_ for phase 1
+            const SetId r1 = R1Of(f.step);
+            const NodePos left = tree_.FirstChildAt(f.node, f.pos);
+            Enter(left.node, left.pos, r1);  // immediate results land in ret_
             continue;
           }
           case 1: {
-            f.acc = std::move(ret_);
             f.phase = 2;
-            StateMask r2_mask = ComputeR2(*f.step, f.acc);
-            SetId r2 = InternMask(r2_mask);
-            Enter(tree_.BinaryRight(f.node), r2);
+            partial_.push_back(std::move(ret_));  // Γ1
+            const SetId r2 = R2Of(f.step, partial_.back(), &f.d1);
+            const NodePos right = tree_.NextSiblingAt(f.node, f.pos);
+            Enter(right.node, right.pos, r2);
             continue;
           }
           case 2: {
-            ResultSet g2 = std::move(ret_);
-            ResultSet result =
-                EvalTransitions(f.set, tree_.label(f.node), f.node, f.acc,
-                                g2, *f.step);
-            frames_.pop_back();
+            ResultSet result = EvalTransitions(f.set, f.node, *f.step, f.d1,
+                                               partial_.back(), ret_);
+            partial_.pop_back();
+            PopFrame();
             ret_ = std::move(result);
             continue;
           }
@@ -441,30 +646,32 @@ class AstaEvaluator {
       } else {  // kTopmost
         if (f.phase == 0) {
           f.phase = 1;
-          NodeId target = f.node;
-          SetId s = f.set;
-          PushNode(target, s);  // may invalidate f
+          PushNode(f.node, f.pos, f.set);
           continue;
         }
-        Accumulate(&f.acc, ret_, &arena_);
+        ResultSet& acc = partial_.back();
+        Accumulate(&acc, ret_, &arena_);
         // One-witness early exit: when no state of the set carries marks and
         // every state has already accepted, further witnesses cannot change
         // the result set.
-        if (f.early_stop && f.acc.accepted == MaskOf(f.set)) {
-          ret_ = std::move(f.acc);
-          frames_.pop_back();
+        if (f.early_stop && acc.accepted == MaskOf(f.set)) {
+          ret_ = std::move(acc);
+          partial_.pop_back();
+          PopFrame();
           continue;
         }
-        NodeId next = f.cursor.First(tree_.BinaryEnd(f.node), f.scope_end);
+        const NodeId next = FirstPosted(
+            f.labels, tree_.BinaryEndAt(f.node, f.pos), f.scope_end);
         if (next != kNullNode) {
           ++stats_.jumps;
           f.node = next;
-          SetId s = f.set;
-          PushNode(next, s);  // may invalidate f
+          f.pos = tree_.OpenPos(next);
+          PushNode(f.node, f.pos, f.set);
           continue;
         }
-        ret_ = std::move(f.acc);
-        frames_.pop_back();
+        ret_ = std::move(acc);
+        partial_.pop_back();
+        PopFrame();
         continue;
       }
     }
@@ -480,14 +687,32 @@ class AstaEvaluator {
 
   NodeListArena arena_;
   std::vector<StateMask> sets_;
-  std::unordered_map<uint64_t, std::vector<SetId>> set_buckets_;
-  std::unordered_map<MemoKey, Step, MemoKeyHash> step_memo_;
-  std::unordered_map<MemoKey, EvalEntry, MemoKeyHash> eval_memo_;
-  std::vector<std::pair<JumpInfo, bool>> jump_cache_;
-  Step scratch_step_;
-  JumpInfo scratch_jump_;
+  IdTable set_table_;
+  // Memo tables (memoized runs only). Steps live in a deque because frames
+  // point at them while the table grows.
+  IdTable step_table_;
+  std::vector<MemoKey> step_keys_;
+  std::deque<Step> steps_;
+  IdTable eval_table_;
+  std::vector<MemoKey> eval_keys_;
+  std::vector<EvalEntry> evals_;
+  std::deque<JumpData> jumps_;
+  std::vector<const JumpData*> jump_of_set_;
+  // Non-memoized runs: per-node steps and per-enumeration labels, held by
+  // the frames above them.
+  std::deque<Step> step_stack_;
+  size_t step_depth_ = 0;
+  std::deque<std::vector<LabelId>> label_stack_;
+  size_t label_depth_ = 0;
+  JumpData scratch_jump_;
 
-  std::deque<Frame> frames_;
+  // Run-scoped posting cursors (FirstPosted), indexed by label.
+  std::vector<PostingList::Cursor> cursors_;
+  std::vector<uint8_t> cursor_open_;
+  NodeId last_lo_ = 0;
+
+  std::vector<Frame> frames_;
+  std::vector<ResultSet> partial_;  // Γ1 per node frame, acc per topmost
   ResultSet ret_;
   AstaEvalStats stats_;
   ExecMonitor monitor_;
@@ -517,7 +742,7 @@ class AstaRegionStream::Impl {
           !jump.essential.Contains(tree_.label(root))) {
         streaming_ = true;
         scope_end_ = tree_.BinaryEnd(root);
-        cursor_ = LabelIndex::SetCursor(index->labels(), jump.essential);
+        top_labels_ = eval_.PostedLabels(jump.essential);
         next_lo_ = root + 1;
         return;
       }
@@ -538,12 +763,14 @@ class AstaRegionStream::Impl {
       out->insert(out->end(), r.nodes.begin(), r.nodes.end());
       return true;
     }
-    NodeId m = cursor_.First(next_lo_, scope_end_);
+    // The enumeration probes through the evaluator's run-scoped cursors;
+    // its lower bounds interleave in order with the regions' own probes.
+    NodeId m = eval_.FirstPosted(top_labels_, next_lo_, scope_end_);
     ++enum_jumps_;
     // Regions whose whole span precedes the seek target contain no wanted
     // match; step over them without driving the automaton.
     while (m != kNullNode && tree_.BinaryEnd(m) <= skip_to_) {
-      m = cursor_.First(tree_.BinaryEnd(m), scope_end_);
+      m = eval_.FirstPosted(top_labels_, tree_.BinaryEnd(m), scope_end_);
       ++enum_jumps_;
     }
     if (m == kNullNode) {
@@ -585,7 +812,7 @@ class AstaRegionStream::Impl {
   NodeId skip_to_ = 0;
   int64_t enum_jumps_ = 0;
   StatusCode interrupt_ = StatusCode::kOk;
-  LabelIndex::SetCursor cursor_;
+  std::vector<LabelId> top_labels_;  // posted essential labels of the top set
   AstaEvalStats stats_;
   mutable AstaEvalStats merged_;
 };

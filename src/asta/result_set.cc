@@ -78,21 +78,40 @@ size_t NodeListArena::MemoryUsage() const {
 }
 
 NodeList ResultSet::MarksOf(StateId q) const {
-  auto it = std::lower_bound(mark_states.begin(), mark_states.end(), q);
-  if (it == mark_states.end() || *it != q) return NodeList{};
-  return mark_lists[it - mark_states.begin()];
+  for (int i = 0; i < count_; ++i) {
+    const StateId s = marked_state(i);
+    if (s == q) return marked_list(i);
+    if (s > q) break;
+  }
+  return NodeList{};
 }
 
 void ResultSet::AddMarks(StateId q, NodeList list, NodeListArena* arena) {
   if (list.empty()) return;
-  auto it = std::lower_bound(mark_states.begin(), mark_states.end(), q);
-  size_t idx = it - mark_states.begin();
-  if (it != mark_states.end() && *it == q) {
-    mark_lists[idx] = arena->Union(mark_lists[idx], list);
-  } else {
-    mark_states.insert(it, q);
-    mark_lists.insert(mark_lists.begin() + idx, list);
+  StateId* states = count_ <= kInlineMarks ? states_ : spill_states_.data();
+  NodeList* lists = count_ <= kInlineMarks ? lists_ : spill_lists_.data();
+  int i = 0;
+  while (i < count_ && states[i] < q) ++i;
+  if (i < count_ && states[i] == q) {
+    lists[i] = arena->Union(lists[i], list);
+    return;
   }
+  if (count_ < kInlineMarks) {
+    for (int j = count_; j > i; --j) {
+      states_[j] = states_[j - 1];
+      lists_[j] = lists_[j - 1];
+    }
+    states_[i] = q;
+    lists_[i] = list;
+  } else {
+    if (count_ == kInlineMarks) {
+      spill_states_.assign(states_, states_ + kInlineMarks);
+      spill_lists_.assign(lists_, lists_ + kInlineMarks);
+    }
+    spill_states_.insert(spill_states_.begin() + i, q);
+    spill_lists_.insert(spill_lists_.begin() + i, list);
+  }
+  ++count_;
 }
 
 }  // namespace xpwqo

@@ -64,17 +64,38 @@ class NodeListArena {
 };
 
 /// Γ: which states accept the subtree, and the marks collected per state.
-struct ResultSet {
-  StateMask accepted;
-  /// Parallel arrays, sorted by state; only states with non-empty lists.
-  std::vector<StateId> mark_states;
-  std::vector<NodeList> mark_lists;
+/// Marks are stored sorted by state, only for states with non-empty lists.
+/// Up to kInlineMarks of them live inline, so building, moving and
+/// accumulating result sets costs no heap traffic for realistic automata
+/// (the evaluator builds one per visited node); more spill to vectors.
+class ResultSet {
+ public:
+  static constexpr int kInlineMarks = 4;
 
   ResultSet() = default;
   explicit ResultSet(int num_states) : accepted(num_states) {}
 
+  StateMask accepted;
+
+  /// Number of states with marks, and the i-th of them (ascending states).
+  int num_marked() const { return count_; }
+  StateId marked_state(int i) const {
+    return count_ <= kInlineMarks ? states_[i] : spill_states_[i];
+  }
+  NodeList marked_list(int i) const {
+    return count_ <= kInlineMarks ? lists_[i] : spill_lists_[i];
+  }
+
   NodeList MarksOf(StateId q) const;
   void AddMarks(StateId q, NodeList list, NodeListArena* arena);
+
+ private:
+  int count_ = 0;
+  StateId states_[kInlineMarks] = {};
+  NodeList lists_[kInlineMarks];
+  // Hold every mark once count_ exceeds kInlineMarks.
+  std::vector<StateId> spill_states_;
+  std::vector<NodeList> spill_lists_;
 };
 
 }  // namespace xpwqo

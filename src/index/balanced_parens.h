@@ -61,9 +61,22 @@ class BalancedParens {
   /// Smallest j >= from with Excess(j) == target, or kNotFound.
   int64_t FwdSearchExcess(int64_t from, int64_t target) const;
 
+  /// FwdSearchExcess with e_before = Excess(from - 1) already known, for
+  /// 0 <= from < size(): no rank read unless the answer lies beyond the
+  /// starting block. FindClose etc. derive e_before from the excess they
+  /// computed; SuccinctTree's position-carrying navigation derives it from
+  /// the node id.
+  int64_t FwdSearchExcessFrom(int64_t from, int64_t target,
+                              int64_t e_before) const;
+
   /// Largest q <= from with Excess(q) == target; -1 counts as a virtual
   /// position with excess 0. kNotFound if none.
   int64_t BwdSearchExcess(int64_t from, int64_t target) const;
+
+  /// BwdSearchExcess with e_at = Excess(from) already known, for
+  /// 0 <= from < size().
+  int64_t BwdSearchExcessFrom(int64_t from, int64_t target,
+                              int64_t e_at) const;
 
   size_t MemoryUsage() const;
 
@@ -87,15 +100,6 @@ class BalancedParens {
     return static_cast<uint32_t>(Window64(p) & 0xFFFF);
   }
 
-  /// FwdSearchExcess with Excess(from - 1) already known; FindClose etc.
-  /// derive it from the excess they computed for the target, halving the
-  /// rank-directory reads per operation.
-  int64_t FwdSearchExcessFrom(int64_t from, int64_t target,
-                              int64_t e_before) const;
-  /// BwdSearchExcess with Excess(from) already known. Requires from >= 0
-  /// (the public wrapper handles the virtual position -1).
-  int64_t BwdSearchExcessFrom(int64_t from, int64_t target,
-                              int64_t e_at) const;
   /// The byte of the parenthesis string covering positions [i, i+8) for
   /// byte-aligned i.
   uint8_t Byte(int64_t i) const {

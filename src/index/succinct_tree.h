@@ -12,8 +12,16 @@
 
 #include "index/balanced_parens.h"
 #include "tree/document.h"
+#include "util/check.h"
 
 namespace xpwqo {
+
+/// A node together with the BP position of its open paren, as carried by
+/// position-aware navigation. node == kNullNode means "no such node".
+struct NodePos {
+  NodeId node = kNullNode;
+  int64_t pos = -1;
+};
 
 /// Balanced-parentheses encoding of a document tree with the navigation
 /// operations the evaluators need.
@@ -73,6 +81,80 @@ class SuccinctTree {
 
   NodeId BinaryLeft(NodeId n) const { return first_child(n); }
   NodeId BinaryRight(NodeId n) const { return next_sibling(n); }
+
+  // Position-carrying navigation. The calls above turn a preorder id into
+  // its BP position with one Select1 each. A traversal that already holds
+  // a node's position `pos` (from OpenPos, or from an earlier *At call)
+  // needs neither select nor rank: the excess at an open paren is
+  // Excess(pos) = 2(n+1) - (pos+1), and the node whose open paren follows
+  // a close paren c is the number of opens up to c, (Excess(c) + c + 1)/2.
+
+  /// BP position of n's open paren (one Select1).
+  int64_t OpenPos(NodeId n) const { return Pos(n); }
+
+  /// first_child(n) with its position, given pos == OpenPos(n).
+  NodePos FirstChildAt(NodeId n, int64_t pos) const {
+    XPWQO_DCHECK(pos == Pos(n));
+    if (!ops_.IsOpen(pos + 1)) return {};
+    return {n + 1, pos + 1};
+  }
+
+  /// next_sibling(n) with its position, given pos == OpenPos(n): one
+  /// FindClose.
+  NodePos NextSiblingAt(NodeId n, int64_t pos) const {
+    XPWQO_DCHECK(pos == Pos(n));
+    const int64_t close = ops_.FindClose(pos);
+    if (close + 1 >= ops_.size() || !ops_.IsOpen(close + 1)) return {};
+    // Excess(close) = Excess(pos) - 1 = 2n - pos.
+    return {static_cast<NodeId>((2 * static_cast<int64_t>(n) - pos + close +
+                                 1) / 2),
+            close + 1};
+  }
+
+  /// Depth(n) given pos == OpenPos(n): Excess(pos) - 1, no rank.
+  int DepthAt(NodeId n, int64_t pos) const {
+    XPWQO_DCHECK(pos == Pos(n));
+    return static_cast<int>(2 * static_cast<int64_t>(n) - pos);
+  }
+
+  /// XmlEnd(n) given pos == OpenPos(n): one FindClose.
+  NodeId XmlEndAt(NodeId n, int64_t pos) const {
+    XPWQO_DCHECK(pos == Pos(n));
+    const int64_t close = ops_.FindClose(pos);
+    return static_cast<NodeId>((2 * static_cast<int64_t>(n) - pos + close +
+                                1) / 2);
+  }
+
+  /// The ancestor of n at depth `depth` (n itself when Depth(n) == depth),
+  /// given pos == OpenPos(n) and depth <= Depth(n): one backward excess
+  /// search for the position just before that ancestor's open paren.
+  NodePos AncestorAt(NodeId n, int64_t pos, int depth) const {
+    XPWQO_DCHECK(pos == Pos(n));
+    XPWQO_DCHECK(depth >= 0 && depth <= DepthAt(n, pos));
+    const int64_t e = 2 * (static_cast<int64_t>(n) + 1) - (pos + 1);
+    if (e == depth + 1) return {n, pos};
+    // Excess(pos - 1) = e - 1; the ancestor opens right after the last
+    // earlier position whose excess is `depth`.
+    const int64_t q = ops_.BwdSearchExcessFrom(pos - 1, depth, e - 1) + 1;
+    return {static_cast<NodeId>((depth + 1 + q + 1) / 2 - 1), q};
+  }
+
+  /// BinaryEnd(n) given pos == OpenPos(n): one excess search.
+  NodeId BinaryEndAt(NodeId n, int64_t pos) const {
+    XPWQO_DCHECK(pos == Pos(n));
+    const int64_t e = 2 * (static_cast<int64_t>(n) + 1) - (pos + 1);
+    int64_t close;
+    int64_t e_close;
+    if (e >= 2) {  // the close paren of n's parent
+      e_close = e - 2;
+      close = ops_.FwdSearchExcessFrom(pos + 1, e_close, e);
+    } else {  // the root: its own close paren ends the range
+      e_close = e - 1;
+      close = ops_.FindClose(pos);
+    }
+    XPWQO_DCHECK(close != BalancedParens::kNotFound);
+    return static_cast<NodeId>((e_close + close + 1) / 2);
+  }
 
   /// Bytes used by parentheses + directory + label array.
   size_t MemoryUsage() const;

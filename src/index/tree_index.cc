@@ -6,21 +6,11 @@ NodeId TreeIndex::FirstBinaryDescendant(NodeId n, const LabelSet& set) const {
   return labels_.FirstInRange(set, n + 1, BinaryEnd(n));
 }
 
-NodeId TreeIndex::FirstInBinarySubtree(NodeId n, const LabelSet& set) const {
-  if (set.Contains(Label(n))) return n;
-  return FirstBinaryDescendant(n, set);
-}
-
 NodeId TreeIndex::NextTopmost(NodeId m, const LabelSet& set,
                               NodeId scope) const {
-  return NextTopmostBefore(m, set, BinaryEnd(scope));
-}
-
-NodeId TreeIndex::NextTopmostBefore(NodeId m, const LabelSet& set,
-                                    NodeId scope_end) const {
   // The binary subtree of m ends at BinaryEnd(m); the next topmost node is
   // the first match at or after that boundary, still inside the scope.
-  return labels_.FirstInRange(set, BinaryEnd(m), scope_end);
+  return labels_.FirstInRange(set, BinaryEnd(m), BinaryEnd(scope));
 }
 
 NodeId TreeIndex::LeftPathFirst(NodeId n, const LabelSet& set) const {

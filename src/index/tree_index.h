@@ -34,24 +34,16 @@ class TreeIndex {
   /// document order) whose label is in L, or kNullNode.
   NodeId FirstBinaryDescendant(NodeId n, const LabelSet& set) const;
 
-  /// First node of [n, BinaryEnd(n)) — n included — with label in L.
-  NodeId FirstInBinarySubtree(NodeId n, const LabelSet& set) const;
-
   /// f_t(m, L, scope): first *binary* following node of m (document order,
   /// not a binary descendant of m) that is a binary descendant of `scope`
   /// and has a label in L. With d_t this enumerates the topmost L-labeled
   /// nodes of scope's binary subtree:
   ///   first = FirstBinaryDescendant(scope, L)
   ///   next  = NextTopmost(prev, L, scope)
+  /// Each call pays two BinaryEnds and fresh posting seeks; the evaluators'
+  /// enumeration loops hoist the scope's end and probe posting cursors
+  /// instead (eval.cc, topdown_jump.cc).
   NodeId NextTopmost(NodeId m, const LabelSet& set, NodeId scope) const;
-
-  /// NextTopmost with the scope's binary end precomputed. Enumeration loops
-  /// should hoist BinaryEnd(scope) once and call this variant, so the scope
-  /// boundary is not re-derived on every jump. (Hot loops that enumerate a
-  /// whole chain should additionally hoist a LabelIndex::SetCursor and probe
-  /// it with BinaryEnd(m) directly — see eval.cc / topdown_jump.cc.)
-  NodeId NextTopmostBefore(NodeId m, const LabelSet& set,
-                           NodeId scope_end) const;
 
   /// l_t(n, L): first node on the left-most binary path below n (the
   /// first-child chain) with label in L, or kNullNode. O(chain length).

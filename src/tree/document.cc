@@ -14,25 +14,4 @@ const std::string& Document::text(NodeId n) const {
   return idx < 0 ? kEmpty : texts_[idx];
 }
 
-std::string Document::PathTo(NodeId n) const {
-  std::vector<NodeId> chain;
-  for (NodeId cur = n; cur != kNullNode; cur = parent(cur)) {
-    chain.push_back(cur);
-  }
-  std::string out;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    out += "/";
-    out += LabelName(*it);
-  }
-  return out.empty() ? "/" : out;
-}
-
-size_t Document::MemoryUsage() const {
-  size_t n = static_cast<size_t>(num_nodes());
-  size_t bytes = n * (sizeof(LabelId) + sizeof(NodeKind) + 3 * sizeof(NodeId) +
-                      2 * sizeof(int32_t));
-  for (const std::string& s : texts_) bytes += s.size();
-  return bytes;
-}
-
 }  // namespace xpwqo

@@ -76,12 +76,6 @@ class Document {
     return alphabet_->Name(label(n));
   }
 
-  /// Root-to-node path such as "/site/regions/item" (for diagnostics).
-  std::string PathTo(NodeId n) const;
-
-  /// Approximate in-memory footprint of the node arrays, in bytes.
-  size_t MemoryUsage() const;
-
  private:
   friend class TreeBuilder;
 

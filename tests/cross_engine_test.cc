@@ -142,9 +142,10 @@ class CrossEngineRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CrossEngineRandomTest, RandomQueriesOnRandomDocuments) {
   uint64_t seed = GetParam();
-  Document doc = RandomTree(seed, {.num_nodes = 120 + 40 * (seed % 5),
-                                   .num_labels = 3,
-                                   .descend_prob = 0.35 + 0.05 * (seed % 4)});
+  Document doc =
+      RandomTree(seed, {.num_nodes = static_cast<int>(120 + 40 * (seed % 5)),
+                        .num_labels = 3,
+                        .descend_prob = 0.35 + 0.05 * (seed % 4)});
   Random rng(seed * 77 + 5);
   for (int i = 0; i < 12; ++i) {
     CheckAllEngines(doc, RandomQuery(&rng));
@@ -162,10 +163,11 @@ TEST_P(CrossEngineJumpHeavyTest, DescendantHeavyQueries) {
   // run inside the label-index enumeration (the path the TreeIndex's BP
   // navigation has to get right).
   uint64_t seed = GetParam();
-  Document doc = RandomTree(seed * 131 + 7,
-                            {.num_nodes = 200 + 60 * (seed % 4),
-                             .num_labels = 5,
-                             .descend_prob = 0.45});
+  Document doc =
+      RandomTree(seed * 131 + 7,
+                 {.num_nodes = static_cast<int>(200 + 60 * (seed % 4)),
+                  .num_labels = 5,
+                  .descend_prob = 0.45});
   Random rng(seed * 913 + 3);
   QueryGenOptions gen;
   gen.num_labels = 5;

@@ -88,12 +88,6 @@ TEST(TreeBuilderTest, Depth) {
   EXPECT_EQ(d.Depth(3), 1);
 }
 
-TEST(TreeBuilderTest, PathTo) {
-  Document d = TreeOf("a(b(c),d)");
-  EXPECT_EQ(d.PathTo(2), "/a/b/c");
-  EXPECT_EQ(d.PathTo(0), "/a");
-}
-
 TEST(TreeBuilderTest, AttributesAndText) {
   TreeBuilder b;
   b.BeginElement("item");
@@ -160,12 +154,6 @@ TEST(DocumentPropertyTest, InvariantsOnRandomTrees) {
       EXPECT_EQ(d.BinaryEnd(n), p == kNullNode ? d.XmlEnd(n) : d.XmlEnd(p));
     }
   }
-}
-
-TEST(DocumentTest, MemoryUsageGrowsWithNodes) {
-  Document small = TreeOf("a(b)");
-  Document large = RandomTree(3, {.num_nodes = 500});
-  EXPECT_GT(large.MemoryUsage(), small.MemoryUsage());
 }
 
 }  // namespace

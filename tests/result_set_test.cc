@@ -103,14 +103,16 @@ TEST(ResultSetTest, MarksRoundTrip) {
   EXPECT_EQ(arena.Materialize(rs.MarksOf(2)), (std::vector<NodeId>{10, 20}));
   EXPECT_EQ(arena.Materialize(rs.MarksOf(0)), (std::vector<NodeId>{3}));
   EXPECT_TRUE(rs.MarksOf(1).empty());
-  EXPECT_EQ(rs.mark_states, (std::vector<StateId>{0, 2}));
+  ASSERT_EQ(rs.num_marked(), 2);
+  EXPECT_EQ(rs.marked_state(0), 0);
+  EXPECT_EQ(rs.marked_state(1), 2);
 }
 
 TEST(ResultSetTest, AddEmptyMarksIsNoop) {
   NodeListArena arena;
   ResultSet rs(2);
   rs.AddMarks(1, NodeList{}, &arena);
-  EXPECT_TRUE(rs.mark_states.empty());
+  EXPECT_EQ(rs.num_marked(), 0);
 }
 
 TEST(StateMaskTest, BasicOps) {

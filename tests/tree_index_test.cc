@@ -88,16 +88,6 @@ TEST(TreeIndexTest, FirstBinaryDescendantSmall) {
   EXPECT_EQ(idx.FirstBinaryDescendant(5, LabelSet::Of({b})), kNullNode);
 }
 
-TEST(TreeIndexTest, FirstInBinarySubtreeIncludesSelf) {
-  Document d = TreeOf("a(b)");
-  SuccinctTree tree(d);
-  TreeIndex idx(tree);
-  LabelId a = d.alphabet().Find("a");
-  EXPECT_EQ(idx.FirstInBinarySubtree(0, LabelSet::Of({a})), 0);
-  EXPECT_EQ(idx.FirstInBinarySubtree(0, LabelSet::Of({d.alphabet().Find("b")})),
-            1);
-}
-
 TEST(TreeIndexTest, TopmostEnumerationSmall) {
   // Binary-topmost b's below the root: only b1 — b2, c3, c4 and b5 are all
   // binary descendants of b1 (c4 is b1's following sibling).
@@ -197,10 +187,6 @@ TEST_P(TreeIndexRandomTest, JumpFunctionsMatchBruteForce) {
       ASSERT_EQ(IndexTopmost(idx, n, set), BruteTopmost(d, n, set));
       ASSERT_EQ(idx.LeftPathFirst(n, set), BruteLeftPathFirst(d, n, set));
       ASSERT_EQ(idx.RightPathFirst(n, set), BruteRightPathFirst(d, n, set));
-      ASSERT_EQ(idx.FirstInBinarySubtree(n, set),
-                set.Contains(d.label(n))
-                    ? n
-                    : BruteFirstBinaryDescendant(d, n, set));
     }
   }
 }
