@@ -1,7 +1,6 @@
 #include "asta/eval.h"
 
 #include <algorithm>
-#include <deque>
 #include <span>
 
 #include "util/check.h"
@@ -40,11 +39,11 @@ struct Step {
   std::vector<std::pair<SetId, SetId>> r2_after;
 };
 
-/// A set's jump decision, plus the essential labels that have postings
-/// (the ones whose cursors a d_t / f_t probe merges).
+/// A set's jump decision, plus the run-scoped cursors of its essential
+/// labels that have postings (the ones a d_t / f_t / r_t probe merges).
 struct JumpData {
   JumpInfo info;
-  std::vector<LabelId> posted;
+  std::vector<int32_t> cursors;  // slots in AstaEvaluator::cursors_
 };
 
 /// Exact 128-bit memo key: (set, label) in `a`, (dom1, dom2) in `b`.
@@ -72,31 +71,28 @@ MemoKey EvalKey(SetId s, LabelId label, SetId d1, SetId d2) {
 }
 
 /// Open-addressed table of dense ids 0, 1, 2, ... (linear probing, load at
-/// most 1/2). The owner stores the keys, indexed by id; the table keeps
-/// each id's hash and resolves a lookup through the owner's equality test.
+/// most 1/2). The owner stores the keys, indexed by id; each slot keeps its
+/// id's hash, and a lookup resolves through the owner's equality test. No
+/// memory is allocated until the first id is added.
 class IdTable {
  public:
-  IdTable() : slots_(size_t{1} << kInitialBits, kNoSet) {}
-
   /// The id whose key `eq(id)` accepts. When there is none, registers the
   /// next id (the previous count) under `hash`, sets *added, and returns it;
   /// the caller then appends the key at that id.
   template <typename Eq>
   int32_t FindOrAdd(uint64_t hash, Eq eq, bool* added) {
+    if (slots_.empty()) slots_.resize(size_t{1} << kInitialBits);
     const size_t mask = slots_.size() - 1;
-    size_t i = Slot(hash);
-    for (;; i = (i + 1) & mask) {
-      const int32_t id = slots_[i];
-      if (id == kNoSet) break;
-      if (hashes_[id] == hash && eq(id)) {
+    size_t i = SlotOf(hash);
+    for (; slots_[i].id != kNoSet; i = (i + 1) & mask) {
+      if (slots_[i].hash == hash && eq(slots_[i].id)) {
         *added = false;
-        return id;
+        return slots_[i].id;
       }
     }
-    const int32_t id = static_cast<int32_t>(hashes_.size());
-    slots_[i] = id;
-    hashes_.push_back(hash);
-    if (2 * hashes_.size() > slots_.size()) Grow();
+    const int32_t id = size_++;
+    slots_[i] = {hash, id};
+    if (2 * static_cast<size_t>(size_) > slots_.size()) Grow();
     *added = true;
     return id;
   }
@@ -104,24 +100,31 @@ class IdTable {
  private:
   static constexpr int kInitialBits = 4;
 
+  struct Slot {
+    uint64_t hash = 0;
+    int32_t id = kNoSet;
+  };
+
   // Multiplicative hashing: the top bits of hash * φ·2^64.
-  size_t Slot(uint64_t hash) const {
+  size_t SlotOf(uint64_t hash) const {
     return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 
   void Grow() {
-    slots_.assign(slots_.size() * 2, kNoSet);
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
     --shift_;
     const size_t mask = slots_.size() - 1;
-    for (size_t id = 0; id < hashes_.size(); ++id) {
-      size_t i = Slot(hashes_[id]);
-      while (slots_[i] != kNoSet) i = (i + 1) & mask;
-      slots_[i] = static_cast<int32_t>(id);
+    for (const Slot& slot : old) {
+      if (slot.id == kNoSet) continue;
+      size_t i = SlotOf(slot.hash);
+      while (slots_[i].id != kNoSet) i = (i + 1) & mask;
+      slots_[i] = slot;
     }
   }
 
-  std::vector<int32_t> slots_;
-  std::vector<uint64_t> hashes_;  // by id
+  std::vector<Slot> slots_;
+  int32_t size_ = 0;
   int shift_ = 64 - kInitialBits;
 };
 
@@ -137,11 +140,11 @@ class AstaEvaluator {
         num_states_(asta.num_states()),
         monitor_(options.control) {
     XPWQO_CHECK(asta.finalized());
-    if (options_.jumping) {
-      XPWQO_CHECK(index_ != nullptr);
-      cursors_.resize(index_->labels().NumLists());
-      cursor_open_.resize(cursors_.size(), 0);
-    }
+    if (options_.jumping) XPWQO_CHECK(index_ != nullptr);
+    // Room for typical runs up front, instead of a reallocation per doubling.
+    sets_.reserve(kInitialCapacity);
+    frames_.reserve(kInitialCapacity);
+    partial_.reserve(kInitialCapacity);
   }
 
   AstaEvalResult Run() { return RunAt(tree_.root()); }
@@ -172,50 +175,56 @@ class AstaEvaluator {
     return out;
   }
 
-  /// The members of a finite essential set that have postings in this
-  /// document, i.e. the labels FirstPosted can find.
-  std::vector<LabelId> PostedLabels(const LabelSet& essential) const {
-    std::vector<LabelId> out;
+  /// The run-scoped cursors (slots for FirstPosted) of the members of a
+  /// finite essential set that have postings in this document, opening
+  /// the ones no earlier set needed.
+  void CursorsFor(const LabelSet& essential, std::vector<int32_t>* out) {
+    out->clear();
     const LabelIndex& labels = index_->labels();
     for (LabelId l : essential.FiniteMembers()) {
-      if (l >= 0 && static_cast<size_t>(l) < labels.NumLists() &&
-          !labels.Postings(l).empty()) {
-        out.push_back(l);
+      if (l < 0 || static_cast<size_t>(l) >= labels.NumLists() ||
+          labels.Postings(l).empty()) {
+        continue;
       }
+      const auto it =
+          std::find(cursor_labels_.begin(), cursor_labels_.end(), l);
+      if (it != cursor_labels_.end()) {
+        out->push_back(static_cast<int32_t>(it - cursor_labels_.begin()));
+        continue;
+      }
+      out->push_back(static_cast<int32_t>(cursors_.size()));
+      cursors_.emplace_back(labels.Postings(l));
+      cursor_labels_.push_back(l);
     }
-    return out;
   }
 
-  /// The d_t / f_t probe: the smallest node in [lo, hi) labeled with one of
-  /// `labels` (from PostedLabels), or kNullNode.
+  /// The d_t / f_t / r_t probe: the smallest node in [lo, hi) labeled with
+  /// the label of one of the cursors `slots` (from CursorsFor), or
+  /// kNullNode.
   ///
   /// Run-scoped cursors: each label has one forward-only posting cursor,
-  /// opened at its first probe and kept for the evaluator's lifetime, over
-  /// every region of a region stream too. A probe thus costs amortized
+  /// opened the first time a jump needs it and kept for the evaluator's
+  /// lifetime, over every region of a region stream too. A probe thus costs amortized
   /// cursor movement, not a seek from the list head per jump. This is sound
   /// because the lower bounds of all probes of one evaluator never
-  /// decrease. The driver visits nodes in binary preorder and probes only
-  /// ranges that start after everything it has visited so far:
-  ///  - entering node c probes from c + 1, and c follows its binary
-  ///    ancestors and every binary subtree finished before it, which
-  ///    contain every earlier probe (each lies inside the subtree it
-  ///    enumerates);
+  /// decrease. The driver visits nodes in binary preorder, and every probe
+  /// lies inside the binary subtree it enumerates, so each probe starts
+  /// after everything visited or probed before it:
+  ///  - entering node c probes from c + 1 (d_t) or from c's XML end (r_t,
+  ///    which then only moves forward past sibling subtrees); c follows its
+  ///    binary ancestors and every binary subtree finished before it;
   ///  - the next topmost target probes from BinaryEnd(previous target),
   ///    past every probe made inside the previous target's subtree;
   ///  - the region stream's own enumeration probes from BinaryEnd of the
   ///    region just evaluated, and regions come in document order.
   /// (The TDSTA run pushes right before left, so it does not probe in
   /// order and keeps per-enumeration LabelIndex::SetCursors.)
-  NodeId FirstPosted(std::span<const LabelId> labels, NodeId lo, NodeId hi) {
+  NodeId FirstPosted(std::span<const int32_t> slots, NodeId lo, NodeId hi) {
     XPWQO_DCHECK(lo >= last_lo_);
     last_lo_ = lo;
     uint32_t best = static_cast<uint32_t>(kNullNode);  // unsigned maximum
-    for (LabelId l : labels) {
-      if (!cursor_open_[l]) {
-        cursors_[l] = PostingList::Cursor(index_->labels().Postings(l));
-        cursor_open_[l] = 1;
-      }
-      best = std::min(best, static_cast<uint32_t>(cursors_[l].SeekGE(lo)));
+    for (int32_t c : slots) {
+      best = std::min(best, static_cast<uint32_t>(cursors_[c].SeekGE(lo)));
     }
     const NodeId first = static_cast<NodeId>(best);
     return first < hi ? first : kNullNode;
@@ -254,15 +263,14 @@ class AstaEvaluator {
     }
   }
 
-  /// The step of (s, label): from the memo table, or (memoization off)
-  /// computed into the next slot of the step stack, which the node's frame
+  /// The step of (s, label), as an index for StepAt: into the memo table,
+  /// or (memoization off) into the step stack, whose slot the node's frame
   /// holds until it pops.
-  Step* GetStep(SetId s, LabelId label) {
+  int32_t GetStep(SetId s, LabelId label) {
     if (!options_.memoize) {
       if (step_depth_ == step_stack_.size()) step_stack_.emplace_back();
-      Step* step = &step_stack_[step_depth_++];
-      FillStep(s, label, step);
-      return step;
+      FillStep(s, label, &step_stack_[step_depth_]);
+      return static_cast<int32_t>(step_depth_++);
     }
     const MemoKey key = StepKey(s, label);
     bool added;
@@ -270,13 +278,16 @@ class AstaEvaluator {
         HashOf(key), [&](int32_t i) { return step_keys_[i] == key; }, &added);
     if (!added) {
       ++stats_.memo_hits;
-      return &steps_[id];
+      return id;
     }
     ++stats_.memo_step_entries;
     step_keys_.push_back(key);
     steps_.emplace_back();
     FillStep(s, label, &steps_.back());
-    return &steps_.back();
+    return id;
+  }
+  Step& StepAt(int32_t i) {
+    return options_.memoize ? steps_[i] : step_stack_[i];
   }
 
   SetId R1Of(Step* step) {
@@ -428,38 +439,43 @@ class AstaEvaluator {
 
   // ------------------------------------------------------------------
   // Jump classification per interned set.
-  void FillJump(SetId s, JumpData* jump) const {
+  void FillJump(SetId s, JumpData* jump) {
     jump->info = tda_.JumpFor(sets_[s]);
-    jump->posted.clear();
+    jump->cursors.clear();
     if (jump->info.kind == LoopKind::kBoth ||
         jump->info.kind == LoopKind::kRight) {
-      jump->posted = PostedLabels(jump->info.essential);
+      CursorsFor(jump->info.essential, &jump->cursors);
     }
   }
 
+  /// The jump data of set s: cached per set (jumps_[jump_of_set_[s]]) when
+  /// memoizing, recomputed into scratch_jump_ otherwise. The reference
+  /// lasts until the next GetJump.
   const JumpData& GetJump(SetId s) {
     if (!options_.memoize) {
       FillJump(s, &scratch_jump_);
       return scratch_jump_;
     }
     if (static_cast<size_t>(s) >= jump_of_set_.size()) {
-      jump_of_set_.resize(s + 1, nullptr);
+      jump_of_set_.resize(s + 1, -1);
     }
-    if (jump_of_set_[s] == nullptr) {
+    if (jump_of_set_[s] < 0) {
+      jump_of_set_[s] = static_cast<int32_t>(jumps_.size());
       jumps_.emplace_back();
       FillJump(s, &jumps_.back());
-      jump_of_set_[s] = &jumps_.back();
     }
-    return *jump_of_set_[s];
+    return jumps_[jump_of_set_[s]];
   }
 
   // ------------------------------------------------------------------
   // Driver. Frames are slim and live in a vector; a node frame's first-child
   // result and a topmost frame's accumulator sit on the separate partial_
-  // stack, and non-memoized runs keep their per-node steps and jump labels
-  // on reused stacks, so a steady-state run allocates nothing per node.
-  // Every frame carries its node's BP position, so child and sibling moves
-  // need no select; only jump landings pay one (OpenPos).
+  // stack, and non-memoized runs keep their per-node steps and cursor lists
+  // on reused stacks, so frames cost no allocation once the stacks have
+  // grown. Frames refer to steps and cursor lists by index, since those
+  // containers grow while frames are live. Every frame carries its node's
+  // BP position, so child and sibling moves need no select; only jump
+  // landings pay one (OpenPos).
   struct Frame {
     enum Kind : uint8_t { kNode, kTopmost };
     Kind kind = kNode;
@@ -468,11 +484,18 @@ class AstaEvaluator {
     SetId set = kNoSet;
     NodeId node = kNullNode;  // kNode: the node; kTopmost: current target
     int64_t pos = -1;         // BP open position of `node`
-    Step* step = nullptr;     // kNode, from phase 1 on
+    int32_t step = -1;        // kNode, from phase 1 on: StepAt index
     SetId d1 = kNoSet;        // kNode, memoized: id of Γ1's accepted set
     NodeId scope_end = kNullNode;  // kTopmost: BinaryEnd(scope), hoisted
-    std::span<const LabelId> labels;  // kTopmost: posted essential labels
+    int32_t cursors = -1;          // kTopmost: CursorsOf index
   };
+
+  /// A topmost frame's cursor slots: its set's cached jump data when
+  /// memoizing, else the cursor stack slot it holds.
+  std::span<const int32_t> CursorsOf(const Frame& f) const {
+    return options_.memoize ? jumps_[f.cursors].cursors
+                            : cursor_stack_[f.cursors];
+  }
 
   void PushNode(NodeId n, int64_t pos, SetId s) {
     Frame f;
@@ -484,13 +507,13 @@ class AstaEvaluator {
   }
 
   /// Pops the top frame and releases what it borrowed from the
-  /// non-memoized step and label stacks.
+  /// non-memoized step and cursor stacks.
   void PopFrame() {
     if (!options_.memoize) {
       if (frames_.back().kind == Frame::kNode) {
         --step_depth_;
       } else {
-        --label_depth_;
+        --cursor_depth_;
       }
     }
     frames_.pop_back();
@@ -514,7 +537,7 @@ class AstaEvaluator {
             // One BinaryEnd for the whole enumeration; d_t is the first
             // probe, f_t the subsequent ones.
             const NodeId scope_end = tree_.BinaryEndAt(c, pos);
-            const NodeId m = FirstPosted(jump.posted, c + 1, scope_end);
+            const NodeId m = FirstPosted(jump.cursors, c + 1, scope_end);
             if (m == kNullNode) break;
             Frame f;
             f.kind = Frame::kTopmost;
@@ -524,14 +547,13 @@ class AstaEvaluator {
             f.scope_end = scope_end;
             f.early_stop = jump.info.all_nonmarking;
             if (options_.memoize) {
-              f.labels = jump.posted;  // jumps_ entries never move
+              f.cursors = jump_of_set_[s];
             } else {
-              if (label_depth_ == label_stack_.size()) {
-                label_stack_.emplace_back();
+              if (cursor_depth_ == cursor_stack_.size()) {
+                cursor_stack_.emplace_back();
               }
-              std::vector<LabelId>& held = label_stack_[label_depth_++];
-              held = jump.posted;
-              f.labels = held;
+              cursor_stack_[cursor_depth_] = jump.cursors;
+              f.cursors = static_cast<int32_t>(cursor_depth_++);
             }
             frames_.push_back(f);
             partial_.push_back(EmptyResult());  // the accumulator
@@ -548,7 +570,7 @@ class AstaEvaluator {
             break;
           }
           case LoopKind::kRight: {
-            const NodePos m = RightPathFirst(c, pos, jump.posted);
+            const NodePos m = RightPathFirst(c, pos, jump.cursors);
             if (m.node == kNullNode) break;
             PushNode(m.node, m.pos, s);
             return true;
@@ -567,16 +589,17 @@ class AstaEvaluator {
 
   /// r_t(c, L) (TreeIndex::RightPathFirst) on positions and the run-scoped
   /// cursors: the first node of c's next-sibling chain, c excluded, labeled
-  /// in `labels`. A match nested inside a sibling's subtree resumes the
+  /// in the labels of `cursors`. A match nested inside a sibling's subtree
+  /// resumes the
   /// probe past that sibling. The probes start at c's XML end, after every
   /// node visited so far, as FirstPosted requires.
   NodePos RightPathFirst(NodeId c, int64_t pos,
-                         std::span<const LabelId> labels) {
+                         std::span<const int32_t> cursors) {
     const int depth = tree_.DepthAt(c, pos);
     const NodeId hi = tree_.BinaryEndAt(c, pos);
     NodeId lo = tree_.XmlEndAt(c, pos);  // c's next sibling, if any
     while (lo < hi) {
-      const NodeId m = FirstPosted(labels, lo, hi);
+      const NodeId m = FirstPosted(cursors, lo, hi);
       if (m == kNullNode) break;
       const NodePos top = tree_.AncestorAt(m, tree_.OpenPos(m), depth);
       if (top.node == m) return top;  // on the spine
@@ -610,18 +633,19 @@ class AstaEvaluator {
               frames_.clear();
               partial_.clear();
               step_depth_ = 0;
-              label_depth_ = 0;
+              cursor_depth_ = 0;
               ret_ = EmptyResult();
               continue;
             }
             f.step = GetStep(f.set, tree_.label(f.node));
-            if (f.step->transitions.empty()) {
+            Step& step = StepAt(f.step);
+            if (step.transitions.empty()) {
               PopFrame();
               ret_ = EmptyResult();
               continue;
             }
             f.phase = 1;
-            const SetId r1 = R1Of(f.step);
+            const SetId r1 = R1Of(&step);
             const NodePos left = tree_.FirstChildAt(f.node, f.pos);
             Enter(left.node, left.pos, r1);  // immediate results land in ret_
             continue;
@@ -629,14 +653,14 @@ class AstaEvaluator {
           case 1: {
             f.phase = 2;
             partial_.push_back(std::move(ret_));  // Γ1
-            const SetId r2 = R2Of(f.step, partial_.back(), &f.d1);
+            const SetId r2 = R2Of(&StepAt(f.step), partial_.back(), &f.d1);
             const NodePos right = tree_.NextSiblingAt(f.node, f.pos);
             Enter(right.node, right.pos, r2);
             continue;
           }
           case 2: {
-            ResultSet result = EvalTransitions(f.set, f.node, *f.step, f.d1,
-                                               partial_.back(), ret_);
+            ResultSet result = EvalTransitions(
+                f.set, f.node, StepAt(f.step), f.d1, partial_.back(), ret_);
             partial_.pop_back();
             PopFrame();
             ret_ = std::move(result);
@@ -661,7 +685,7 @@ class AstaEvaluator {
           continue;
         }
         const NodeId next = FirstPosted(
-            f.labels, tree_.BinaryEndAt(f.node, f.pos), f.scope_end);
+            CursorsOf(f), tree_.BinaryEndAt(f.node, f.pos), f.scope_end);
         if (next != kNullNode) {
           ++stats_.jumps;
           f.node = next;
@@ -678,6 +702,8 @@ class AstaEvaluator {
     return std::move(ret_);
   }
 
+  static constexpr size_t kInitialCapacity = 16;
+
   const Asta& asta_;
   const SuccinctTree& tree_;
   const TreeIndex* index_;
@@ -688,27 +714,26 @@ class AstaEvaluator {
   NodeListArena arena_;
   std::vector<StateMask> sets_;
   IdTable set_table_;
-  // Memo tables (memoized runs only). Steps live in a deque because frames
-  // point at them while the table grows.
+  // Memo tables (memoized runs only).
   IdTable step_table_;
   std::vector<MemoKey> step_keys_;
-  std::deque<Step> steps_;
+  std::vector<Step> steps_;
   IdTable eval_table_;
   std::vector<MemoKey> eval_keys_;
   std::vector<EvalEntry> evals_;
-  std::deque<JumpData> jumps_;
-  std::vector<const JumpData*> jump_of_set_;
-  // Non-memoized runs: per-node steps and per-enumeration labels, held by
-  // the frames above them.
-  std::deque<Step> step_stack_;
+  std::vector<JumpData> jumps_;
+  std::vector<int32_t> jump_of_set_;  // index into jumps_, or -1
+  // Non-memoized runs: per-node steps and per-enumeration cursor lists,
+  // held by the frames above them.
+  std::vector<Step> step_stack_;
   size_t step_depth_ = 0;
-  std::deque<std::vector<LabelId>> label_stack_;
-  size_t label_depth_ = 0;
+  std::vector<std::vector<int32_t>> cursor_stack_;
+  size_t cursor_depth_ = 0;
   JumpData scratch_jump_;
 
-  // Run-scoped posting cursors (FirstPosted), indexed by label.
+  // Run-scoped posting cursors (FirstPosted) and their labels.
   std::vector<PostingList::Cursor> cursors_;
-  std::vector<uint8_t> cursor_open_;
+  std::vector<LabelId> cursor_labels_;
   NodeId last_lo_ = 0;
 
   std::vector<Frame> frames_;
@@ -742,7 +767,7 @@ class AstaRegionStream::Impl {
           !jump.essential.Contains(tree_.label(root))) {
         streaming_ = true;
         scope_end_ = tree_.BinaryEnd(root);
-        top_labels_ = eval_.PostedLabels(jump.essential);
+        eval_.CursorsFor(jump.essential, &top_cursors_);
         next_lo_ = root + 1;
         return;
       }
@@ -765,12 +790,12 @@ class AstaRegionStream::Impl {
     }
     // The enumeration probes through the evaluator's run-scoped cursors;
     // its lower bounds interleave in order with the regions' own probes.
-    NodeId m = eval_.FirstPosted(top_labels_, next_lo_, scope_end_);
+    NodeId m = eval_.FirstPosted(top_cursors_, next_lo_, scope_end_);
     ++enum_jumps_;
     // Regions whose whole span precedes the seek target contain no wanted
     // match; step over them without driving the automaton.
     while (m != kNullNode && tree_.BinaryEnd(m) <= skip_to_) {
-      m = eval_.FirstPosted(top_labels_, tree_.BinaryEnd(m), scope_end_);
+      m = eval_.FirstPosted(top_cursors_, tree_.BinaryEnd(m), scope_end_);
       ++enum_jumps_;
     }
     if (m == kNullNode) {
@@ -812,7 +837,7 @@ class AstaRegionStream::Impl {
   NodeId skip_to_ = 0;
   int64_t enum_jumps_ = 0;
   StatusCode interrupt_ = StatusCode::kOk;
-  std::vector<LabelId> top_labels_;  // posted essential labels of the top set
+  std::vector<int32_t> top_cursors_;  // the top set's essential cursors
   AstaEvalStats stats_;
   mutable AstaEvalStats merged_;
 };

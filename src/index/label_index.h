@@ -90,7 +90,9 @@ class LabelIndex {
   /// per-label cursor advances monotonically — galloping over skip entries
   /// past whole compressed blocks, decoding only the block it lands in — so
   /// a whole enumeration pays O(matches visited) amortized movement instead
-  /// of |L| fresh front-seeks per jump.
+  /// of |L| fresh front-seeks per jump. The TDSTA jump run builds one per
+  /// enumeration; the ASTA evaluator, whose probes are ordered across its
+  /// whole run, keeps run-scoped per-label cursors instead (eval.cc).
   class SetCursor {
    public:
     SetCursor() = default;
@@ -103,7 +105,7 @@ class LabelIndex {
    private:
     /// Essential-label sets are almost always tiny; an inline buffer keeps
     /// cursor construction allocation-free for them (one SetCursor is
-    /// built per jump region, including regions that prove empty).
+    /// built per enumeration, including enumerations that prove empty).
     static constexpr size_t kInlineCursors = 4;
     PostingList::Cursor* data() {
       return spill_.empty() ? inline_cursors_ : spill_.data();

@@ -125,8 +125,9 @@ class PostingList {
   /// Monotone streaming reader: SeekGE gallops over skip entries past whole
   /// blocks, then decodes forward from its current position — an
   /// enumeration pays amortized movement, not a fresh front-search per
-  /// probe. Copyable, ~40 bytes, no heap state (the merged SetCursor in
-  /// eval/topdown frames stores several inline).
+  /// probe. Copyable, ~40 bytes, no heap state (the merged SetCursor of the
+  /// TDSTA run stores several inline; the ASTA evaluator keeps one per
+  /// label for its whole run).
   class Cursor {
    public:
     Cursor() = default;

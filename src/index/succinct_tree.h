@@ -85,9 +85,9 @@ class SuccinctTree {
   // Position-carrying navigation. The calls above turn a preorder id into
   // its BP position with one Select1 each. A traversal that already holds
   // a node's position `pos` (from OpenPos, or from an earlier *At call)
-  // needs neither select nor rank: the excess at an open paren is
-  // Excess(pos) = 2(n+1) - (pos+1), and the node whose open paren follows
-  // a close paren c is the number of opens up to c, (Excess(c) + c + 1)/2.
+  // needs neither select nor rank: the excess at n's open paren is
+  // 2(n+1) - (pos+1) (OpenExcess), and the number of opens up to a
+  // position c is (Excess(c) + c + 1)/2 (OpensThrough).
 
   /// BP position of n's open paren (one Select1).
   int64_t OpenPos(NodeId n) const { return Pos(n); }
@@ -105,55 +105,43 @@ class SuccinctTree {
     XPWQO_DCHECK(pos == Pos(n));
     const int64_t close = ops_.FindClose(pos);
     if (close + 1 >= ops_.size() || !ops_.IsOpen(close + 1)) return {};
-    // Excess(close) = Excess(pos) - 1 = 2n - pos.
-    return {static_cast<NodeId>((2 * static_cast<int64_t>(n) - pos + close +
-                                 1) / 2),
-            close + 1};
+    return {OpensThrough(close, OpenExcess(n, pos) - 1), close + 1};
   }
 
-  /// Depth(n) given pos == OpenPos(n): Excess(pos) - 1, no rank.
+  /// Depth(n) given pos == OpenPos(n), with no rank.
   int DepthAt(NodeId n, int64_t pos) const {
     XPWQO_DCHECK(pos == Pos(n));
-    return static_cast<int>(2 * static_cast<int64_t>(n) - pos);
+    return static_cast<int>(OpenExcess(n, pos) - 1);
   }
 
   /// XmlEnd(n) given pos == OpenPos(n): one FindClose.
   NodeId XmlEndAt(NodeId n, int64_t pos) const {
     XPWQO_DCHECK(pos == Pos(n));
-    const int64_t close = ops_.FindClose(pos);
-    return static_cast<NodeId>((2 * static_cast<int64_t>(n) - pos + close +
-                                1) / 2);
+    return OpensThrough(ops_.FindClose(pos), OpenExcess(n, pos) - 1);
   }
 
   /// The ancestor of n at depth `depth` (n itself when Depth(n) == depth),
   /// given pos == OpenPos(n) and depth <= Depth(n): one backward excess
-  /// search for the position just before that ancestor's open paren.
+  /// search, for the last earlier position whose excess is `depth`; the
+  /// ancestor's open paren follows it.
   NodePos AncestorAt(NodeId n, int64_t pos, int depth) const {
     XPWQO_DCHECK(pos == Pos(n));
     XPWQO_DCHECK(depth >= 0 && depth <= DepthAt(n, pos));
-    const int64_t e = 2 * (static_cast<int64_t>(n) + 1) - (pos + 1);
+    const int64_t e = OpenExcess(n, pos);
     if (e == depth + 1) return {n, pos};
-    // Excess(pos - 1) = e - 1; the ancestor opens right after the last
-    // earlier position whose excess is `depth`.
     const int64_t q = ops_.BwdSearchExcessFrom(pos - 1, depth, e - 1) + 1;
-    return {static_cast<NodeId>((depth + 1 + q + 1) / 2 - 1), q};
+    return {OpensThrough(q, depth + 1) - 1, q};
   }
 
-  /// BinaryEnd(n) given pos == OpenPos(n): one excess search.
+  /// BinaryEnd(n) given pos == OpenPos(n): one excess search, for the
+  /// close paren of n's parent (of n itself for the root).
   NodeId BinaryEndAt(NodeId n, int64_t pos) const {
     XPWQO_DCHECK(pos == Pos(n));
-    const int64_t e = 2 * (static_cast<int64_t>(n) + 1) - (pos + 1);
-    int64_t close;
-    int64_t e_close;
-    if (e >= 2) {  // the close paren of n's parent
-      e_close = e - 2;
-      close = ops_.FwdSearchExcessFrom(pos + 1, e_close, e);
-    } else {  // the root: its own close paren ends the range
-      e_close = e - 1;
-      close = ops_.FindClose(pos);
-    }
+    const int64_t e = OpenExcess(n, pos);
+    if (e == 1) return OpensThrough(ops_.FindClose(pos), 0);
+    const int64_t close = ops_.FwdSearchExcessFrom(pos + 1, e - 2, e);
     XPWQO_DCHECK(close != BalancedParens::kNotFound);
-    return static_cast<NodeId>((e_close + close + 1) / 2);
+    return OpensThrough(close, e - 2);
   }
 
   /// Bytes used by parentheses + directory + label array.
@@ -164,6 +152,16 @@ class SuccinctTree {
   /// (a no-op for already-frozen external bits), build the BP directory.
   /// The caller has set labels_v_/num_nodes_ first.
   void Adopt(BitVector bits);
+
+  /// Excess at the open paren of node n, given pos == OpenPos(n).
+  static int64_t OpenExcess(NodeId n, int64_t pos) {
+    return 2 * (static_cast<int64_t>(n) + 1) - (pos + 1);
+  }
+  /// Number of open parens in [0, c], given e == Excess(c): the preorder id
+  /// of the node whose open paren comes next.
+  static NodeId OpensThrough(int64_t c, int64_t e) {
+    return static_cast<NodeId>((e + c + 1) / 2);
+  }
 
   /// BP position of the open paren of preorder node n.
   int64_t Pos(NodeId n) const {

@@ -155,6 +155,34 @@ TEST(AstaEvalTest, SuccinctBackendAgrees) {
   }
 }
 
+TEST(AstaEvalTest, BudgetTripMidDriveUnwindsEveryConfiguration) {
+  // A visited-node budget stops the drive with frames, partial results and
+  // (without memoization) borrowed steps and jump labels in flight. The
+  // trip must unwind all of it, in every configuration, and a region
+  // stream must stay stopped afterwards.
+  Document d = RandomTree(11, {.num_nodes = 4000, .num_labels = 3});
+  DocIds ids = IdsOf(d);
+  Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
+  SuccinctTree tree(d);
+  TreeIndex index(tree);
+  for (AstaEvalOptions opts : kAllConfigs) {
+    ExecControl control;
+    control.max_visited = 40;
+    control.check_interval = 1;
+    opts.control = &control;
+    const TreeIndex* idx = opts.jumping ? &index : nullptr;
+    AstaEvalResult r = EvalAsta(asta, tree, idx, opts);
+    EXPECT_EQ(r.interrupt, StatusCode::kResourceExhausted);
+    EXPECT_EQ(r.stats.nodes_visited, 40);
+    AstaRegionStream stream(asta, tree, idx, opts);
+    std::vector<NodeId> out;
+    while (stream.NextRegion(&out)) {
+    }
+    EXPECT_EQ(stream.interrupt(), StatusCode::kResourceExhausted);
+    EXPECT_FALSE(stream.NextRegion(&out));
+  }
+}
+
 TEST(AstaEvalTest, JumpingVisitsFarFewerNodes) {
   // A big c-forest with two a(b(c)) islands.
   std::string spec = "r(";

@@ -108,6 +108,26 @@ TEST(ResultSetTest, MarksRoundTrip) {
   EXPECT_EQ(rs.marked_state(1), 2);
 }
 
+TEST(ResultSetTest, SpillsPastInlineMarks) {
+  // More marked states than fit inline: states arrive out of order, and
+  // both a fresh state and a repeat land after the spill.
+  NodeListArena arena;
+  const int n = ResultSet::kInlineMarks + 3;
+  ResultSet rs(n);
+  for (int i = n - 1; i >= 0; --i) {
+    rs.AddMarks(i, arena.Singleton(10 * i), &arena);
+  }
+  rs.AddMarks(1, arena.Singleton(11), &arena);
+  ASSERT_EQ(rs.num_marked(), n);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(rs.marked_state(i), i);
+    std::vector<NodeId> want{10 * i};
+    if (i == 1) want.push_back(11);
+    EXPECT_EQ(arena.Materialize(rs.MarksOf(i)), want) << i;
+  }
+  EXPECT_TRUE(rs.MarksOf(n).empty());
+}
+
 TEST(ResultSetTest, AddEmptyMarksIsNoop) {
   NodeListArena arena;
   ResultSet rs(2);
