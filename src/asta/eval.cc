@@ -141,10 +141,6 @@ class AstaEvaluator {
         monitor_(options.control) {
     XPWQO_CHECK(asta.finalized());
     if (options_.jumping) XPWQO_CHECK(index_ != nullptr);
-    // Room for typical runs up front, instead of a reallocation per doubling.
-    sets_.reserve(kInitialCapacity);
-    frames_.reserve(kInitialCapacity);
-    partial_.reserve(kInitialCapacity);
   }
 
   AstaEvalResult Run() { return RunAt(tree_.root()); }
@@ -204,12 +200,12 @@ class AstaEvaluator {
   ///
   /// Run-scoped cursors: each label has one forward-only posting cursor,
   /// opened the first time a jump needs it and kept for the evaluator's
-  /// lifetime, over every region of a region stream too. A probe thus costs amortized
-  /// cursor movement, not a seek from the list head per jump. This is sound
-  /// because the lower bounds of all probes of one evaluator never
-  /// decrease. The driver visits nodes in binary preorder, and every probe
-  /// lies inside the binary subtree it enumerates, so each probe starts
-  /// after everything visited or probed before it:
+  /// lifetime, over every region of a region stream too. A probe thus costs
+  /// amortized cursor movement, not a seek from the list head per jump.
+  /// This is sound because the lower bounds of all probes of one evaluator
+  /// never decrease. The driver visits nodes in binary preorder, and every
+  /// probe lies inside the binary subtree it enumerates, so each probe
+  /// starts after everything visited or probed before it:
   ///  - entering node c probes from c + 1 (d_t) or from c's XML end (r_t,
   ///    which then only moves forward past sibling subtrees); c follows its
   ///    binary ancestors and every binary subtree finished before it;
@@ -590,9 +586,8 @@ class AstaEvaluator {
   /// r_t(c, L) (TreeIndex::RightPathFirst) on positions and the run-scoped
   /// cursors: the first node of c's next-sibling chain, c excluded, labeled
   /// in the labels of `cursors`. A match nested inside a sibling's subtree
-  /// resumes the
-  /// probe past that sibling. The probes start at c's XML end, after every
-  /// node visited so far, as FirstPosted requires.
+  /// resumes the probe past that sibling. The probes start at c's XML end,
+  /// after every node visited so far, as FirstPosted requires.
   NodePos RightPathFirst(NodeId c, int64_t pos,
                          std::span<const int32_t> cursors) {
     const int depth = tree_.DepthAt(c, pos);
@@ -701,8 +696,6 @@ class AstaEvaluator {
     }
     return std::move(ret_);
   }
-
-  static constexpr size_t kInitialCapacity = 16;
 
   const Asta& asta_;
   const SuccinctTree& tree_;
