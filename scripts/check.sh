@@ -151,7 +151,7 @@ grep -q "drained clean" build/xpathd_early.log
 # sweep: every byte of a saved image flipped, truncations at every section
 # boundary, structural faults behind valid checksums — all of it must fail
 # with clean Status objects and zero sanitizer reports. The evaluator
-# suites run here too: the ASTA driver keeps frames, partial results and
+# suites run here too: the ASTA evaluator keeps frames, partial results and
 # posting cursors in hand-managed stacks and indexes, and its position
 # arithmetic and cursor monotonicity are XPWQO_DCHECKs. The sanitizer
 # builds therefore compile with -O2 -g and without -DNDEBUG (CMake's

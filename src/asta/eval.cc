@@ -203,7 +203,7 @@ class AstaEvaluator {
   /// lifetime, over every region of a region stream too. A probe thus costs
   /// amortized cursor movement, not a seek from the list head per jump.
   /// This is sound because the lower bounds of all probes of one evaluator
-  /// never decrease. The driver visits nodes in binary preorder, and every
+  /// never decrease. Drive visits nodes in binary preorder, and every
   /// probe lies inside the binary subtree it enumerates, so each probe
   /// starts after everything visited or probed before it:
   ///  - entering node c probes from c + 1 (d_t) or from c's XML end (r_t,
@@ -464,14 +464,14 @@ class AstaEvaluator {
   }
 
   // ------------------------------------------------------------------
-  // Driver. Frames are slim and live in a vector; a node frame's first-child
-  // result and a topmost frame's accumulator sit on the separate partial_
-  // stack, and non-memoized runs keep their per-node steps and cursor lists
-  // on reused stacks, so frames cost no allocation once the stacks have
+  // The drive loop. Frames are slim and live in a vector; a node frame's
+  // first-child result and a topmost frame's accumulator sit on the separate
+  // partial_ stack, and non-memoized runs keep their per-node steps and cursor
+  // lists on reused stacks, so frames cost no allocation once the stacks have
   // grown. Frames refer to steps and cursor lists by index, since those
-  // containers grow while frames are live. Every frame carries its node's
-  // BP position, so child and sibling moves need no select; only jump
-  // landings pay one (OpenPos).
+  // containers grow while frames are live. Every frame carries its node's BP
+  // position, so child and sibling moves need no select; only jump landings
+  // pay one (OpenPos).
   struct Frame {
     enum Kind : uint8_t { kNode, kTopmost };
     Kind kind = kNode;

@@ -14,27 +14,27 @@
 // stack would otherwise be O(max fan-out).
 //
 // What a visited node costs. The paper's speed rests on touching few nodes
-// and on each touch being cheap (§4.4). The driver keeps the per-node
+// and on each touch being cheap (§4.4). The drive loop keeps the per-node
 // bookkeeping small:
 //  - Frames carry each node's balanced-parentheses position, so first-child
 //    and next-sibling moves need no select (SuccinctTree::FirstChildAt and
 //    friends); only a jump landing pays one.
 //  - Jumps probe run-scoped posting cursors: one forward-only cursor per
-//    label, opened at its first probe and kept for the evaluator's lifetime,
-//    across all regions of an AstaRegionStream too. This is sound because
-//    the lower bounds of one evaluator's probes never decrease. The driver
-//    visits nodes in binary preorder and probes only ranges that start
-//    after everything visited so far: entering node c probes from c + 1
-//    (d_t) or from c's XML end (r_t), the next topmost target from the
-//    previous target's BinaryEnd (f_t), and the region stream from the end
-//    of the region it just evaluated. A debug check enforces it.
+//    label, opened the first time a jump needs it and kept for the
+//    evaluator's lifetime, across all regions of an AstaRegionStream too.
+//    This is sound because the lower bounds of one evaluator's probes never
+//    decrease. The evaluator visits nodes in binary preorder and probes only
+//    ranges that start after everything visited so far: entering node c
+//    probes from c + 1 (d_t) or from c's XML end (r_t), the next topmost
+//    target from the previous target's BinaryEnd (f_t), and the region stream
+//    from the end of the region it just evaluated. A debug check enforces it.
 //  - State sets are interned in a flat open-addressed table; memoized steps
 //    cache the ids of the child sets they send down (never counted as memo
 //    hits, so the Figure-4 counters keep their meaning).
 //  - Frames live in a vector, partial results on a separate stack, and
 //    result sets keep up to four mark lists inline, so a memoized run does
-//    no heap allocation per node beyond the node-list arena's amortized
-//    growth.
+//    no heap allocation per node beyond the amortized growth of these
+//    stacks and of the node-list arena.
 #ifndef XPWQO_ASTA_EVAL_H_
 #define XPWQO_ASTA_EVAL_H_
 
